@@ -4,7 +4,7 @@
 //
 //   bench_serve_mux [--out <file|->] [--check-against <baseline.json>]
 //                   [--max-regression <pct>] [--reps-scale <x>]
-//                   [--threads <k>] [--pin-threads]
+//                   [--threads <k>]
 //
 // One pinned scenario, `serve_mux_2k`: 2000 small tree_aa instances
 // (n = 4, t = 1 on a 25-vertex random tree) admitted *sequentially* — the
@@ -27,7 +27,7 @@
 
 #include "common/rng.h"
 #include "common_flags.h"
-#include "exp/json_value.h"
+#include "common/json_value.h"
 #include "obs/json.h"
 #include "obs/sink.h"
 #include "perf/parallel.h"
@@ -168,12 +168,12 @@ int check_against_baseline(const std::vector<MuxResult>& results,
   }
   std::stringstream buffer;
   buffer << in.rdbuf();
-  const auto doc = exp::JsonValue::parse(buffer.str());
+  const auto doc = treeaa::JsonValue::parse(buffer.str());
   if (!doc.has_value() || !doc->is_object()) {
     std::cerr << "perf gate: malformed baseline '" << baseline_path << "'\n";
     return 1;
   }
-  const exp::JsonValue* scenarios = doc->find("scenarios");
+  const treeaa::JsonValue* scenarios = doc->find("scenarios");
   if (scenarios == nullptr || !scenarios->is_array()) {
     std::cerr << "perf gate: baseline has no scenarios array\n";
     return 1;
@@ -182,9 +182,9 @@ int check_against_baseline(const std::vector<MuxResult>& results,
   int regressions = 0;
   for (const MuxResult& r : results) {
     double baseline = 0.0;
-    for (const exp::JsonValue& s : scenarios->items()) {
-      const exp::JsonValue* name = s.find("name");
-      const exp::JsonValue* rate = s.find("sessions_per_s");
+    for (const treeaa::JsonValue& s : scenarios->items()) {
+      const treeaa::JsonValue* name = s.find("name");
+      const treeaa::JsonValue* rate = s.find("sessions_per_s");
       if (name != nullptr && name->is_string() &&
           name->as_string() == r.name && rate != nullptr &&
           rate->is_number()) {
@@ -222,7 +222,6 @@ int main(int argc, char** argv) {
   tools::CommonFlagSet set;
   set.threads = true;
   set.bench_gate = true;
-  set.pin_threads = true;
   tools::CommonFlags flags;
   const tools::UsageFn fail = [](const std::string& msg) {
     std::cerr << msg << "\n";
@@ -233,7 +232,6 @@ int main(int argc, char** argv) {
     std::cerr << "unknown option '" << args[i] << "'\n";
     return 2;
   }
-  if (flags.pin_threads) perf::WorkerPool::set_pin_threads(true);
   const std::string out_path =
       obs::resolve_metrics_path(std::move(flags.out_path));
   std::ostream& human = out_path == "-" ? std::cerr : std::cout;

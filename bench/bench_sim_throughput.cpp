@@ -10,7 +10,7 @@
 //   bench_sim_throughput --pinned [--out <file|->]
 //                        [--check-against <baseline.json>]
 //                        [--max-regression <pct>] [--reps-scale <x>]
-//                        [--threads <k>] [--pin-threads]
+//                        [--threads <k>]
 //     The perf-regression suite: nine pinned scenarios (one per hot
 //     subsystem — gradecast codec+counting, the slot codec in isolation
 //     (gradecast_codec_n64), RealAA iteration loop, TreeAA end-to-end on
@@ -23,13 +23,12 @@
 //     count (`host_cpus`) and the effective worker count (`workers`).
 //     --threads sets the lane count of the base scenarios (default 1, the
 //     serial baseline); the *_t8 scenarios always pin 8 lanes, and
-//     message counts never depend on the lane count. --pin-threads pins
-//     pool workers to CPUs (perf::WorkerPool::set_pin_threads). With
-//     --check-against the measured throughput is gated against a
-//     checked-in baseline (bench/perf_baseline.json): any scenario more
-//     than --max-regression percent (default 25) below its baseline fails
-//     the run with exit code 1. docs/PERF.md describes the schema and how
-//     to refresh the baseline.
+//     message counts never depend on the lane count. With --check-against
+//     the measured throughput is gated against a checked-in baseline
+//     (bench/perf_baseline.json): any scenario more than --max-regression
+//     percent (default 25) below its baseline fails the run with exit
+//     code 1. docs/PERF.md describes the schema and how to refresh the
+//     baseline.
 #include <benchmark/benchmark.h>
 
 #include <chrono>
@@ -44,7 +43,7 @@
 
 #include "common_flags.h"
 #include "core/api.h"
-#include "exp/json_value.h"
+#include "common/json_value.h"
 #include "gradecast/gradecast.h"
 #include "gradecast/wire.h"
 #include "graphs/block_aa.h"
@@ -252,9 +251,9 @@ std::vector<PinnedResult> run_pinned_suite(double reps_scale,
   }
 
   // TreeAA on a 4096-vertex random tree, serial and at 8 lanes: the
-  // multi-core scaling pair — large enough per-round work for the SPSC
-  // lane handoff and pinning to show, and the byte-identity pair the CI
-  // perf smoke compares across thread counts.
+  // multi-core scaling pair — large enough per-round work for the lane
+  // fan-out to show, and the byte-identity pair the CI perf smoke compares
+  // across thread counts.
   {
     Rng rng(0xBEEF + 4096);
     const auto tree = make_random_tree(4096, rng);
@@ -274,8 +273,8 @@ std::vector<PinnedResult> run_pinned_suite(double reps_scale,
         }));
   }
 
-  // The gradecast slot codec in isolation: the SIMD batched encoder and
-  // the zero-copy view decoder round-tripping a 64-slot echo vector (half
+  // The gradecast slot codec in isolation: the exact-size batched encoder
+  // and the zero-copy view decoder round-tripping a 64-slot echo vector (half
   // the slots carry 24-byte values). One "message" = one encode + decode.
   {
     std::vector<gradecast::Slot> slots(64);
@@ -396,12 +395,12 @@ int check_against_baseline(const std::vector<PinnedResult>& results,
   }
   std::stringstream buffer;
   buffer << in.rdbuf();
-  const auto doc = exp::JsonValue::parse(buffer.str());
+  const auto doc = treeaa::JsonValue::parse(buffer.str());
   if (!doc.has_value() || !doc->is_object()) {
     std::cerr << "perf gate: malformed baseline '" << baseline_path << "'\n";
     return 1;
   }
-  const exp::JsonValue* scenarios = doc->find("scenarios");
+  const treeaa::JsonValue* scenarios = doc->find("scenarios");
   if (scenarios == nullptr || !scenarios->is_array()) {
     std::cerr << "perf gate: baseline has no scenarios array\n";
     return 1;
@@ -410,9 +409,9 @@ int check_against_baseline(const std::vector<PinnedResult>& results,
   int regressions = 0;
   for (const PinnedResult& r : results) {
     double baseline = 0.0;
-    for (const exp::JsonValue& s : scenarios->items()) {
-      const exp::JsonValue* name = s.find("name");
-      const exp::JsonValue* rate = s.find("messages_per_sec");
+    for (const treeaa::JsonValue& s : scenarios->items()) {
+      const treeaa::JsonValue* name = s.find("name");
+      const treeaa::JsonValue* rate = s.find("messages_per_sec");
       if (name != nullptr && name->is_string() && name->as_string() == r.name &&
           rate != nullptr && rate->is_number()) {
         baseline = rate->as_number();
@@ -442,13 +441,12 @@ int check_against_baseline(const std::vector<PinnedResult>& results,
 
 int run_pinned_mode(int argc, char** argv) {
   // Flag vocabulary from tools/common_flags: --threads plus the perf-gate
-  // set (--out/--check-against/--max-regression/--reps-scale) and
-  // --pin-threads. Error strings match the historical hand-rolled parser.
+  // set (--out/--check-against/--max-regression/--reps-scale). Error strings
+  // match the historical hand-rolled parser.
   const std::vector<std::string> args(argv + 1, argv + argc);
   tools::CommonFlagSet set;
   set.threads = true;
   set.bench_gate = true;
-  set.pin_threads = true;
   tools::CommonFlags flags;
   const tools::UsageFn fail = [](const std::string& msg) {
     std::cerr << msg << "\n";
@@ -460,7 +458,6 @@ int run_pinned_mode(int argc, char** argv) {
     std::cerr << "unknown --pinned option '" << args[i] << "'\n";
     return 2;
   }
-  if (flags.pin_threads) perf::WorkerPool::set_pin_threads(true);
   std::string out_path = obs::resolve_metrics_path(std::move(flags.out_path));
   // With the report on stdout, human summaries move to stderr so the
   // JSON stays machine-parseable (same convention as treeaa_cli).

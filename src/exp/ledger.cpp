@@ -5,7 +5,7 @@
 #include <cstdlib>
 
 #include "bounds/fekete.h"
-#include "exp/json_value.h"
+#include "common/json_value.h"
 #include "obs/json.h"
 #include "obs/report.h"
 #include "realaa/rounds.h"

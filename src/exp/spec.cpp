@@ -4,7 +4,7 @@
 #include <stdexcept>
 #include <utility>
 
-#include "exp/json_value.h"
+#include "common/json_value.h"
 #include "graphs/generators.h"
 #include "trees/generators.h"
 

@@ -1,11 +1,10 @@
 #include "gradecast/wire.h"
 
+#include <cstring>
+
 #include "common/check.h"
-#include "perf/simd.h"
 
 namespace treeaa::gradecast {
-
-namespace simd = perf::simd;
 
 Bytes encode_leader(const Bytes& value) {
   ByteWriter w;
@@ -35,24 +34,24 @@ std::optional<ByteView> decode_leader_view(ByteView msg) {
 // Batched encoder: the slot-vector layout — tag, varint count, then per
 // slot a presence byte followed by (varint length, bytes) — is sized
 // exactly up front, so the whole message is one allocation filled by a
-// pointer-bump cursor with SIMD bulk copies for the slot bodies. Byte
+// pointer-bump cursor with memcpy for the slot bodies. Byte
 // output is identical to the old incremental ByteWriter encoder (pinned by
 // the codec goldens).
 Bytes encode_slots(std::uint8_t tag, const std::vector<Slot>& slots) {
-  std::size_t total = 1 + simd::varint_len(slots.size());
+  std::size_t total = 1 + varint_len(slots.size());
   for (const Slot& s : slots) {
     total += 1;
-    if (s.has_value()) total += simd::varint_len(s->size()) + s->size();
+    if (s.has_value()) total += varint_len(s->size()) + s->size();
   }
   Bytes out(total);
   std::uint8_t* p = out.data();
   *p++ = tag;
-  p = simd::write_varint(p, slots.size());
+  p = write_varint(p, slots.size());
   for (const Slot& s : slots) {
     if (s.has_value()) {
       *p++ = 1;
-      p = simd::write_varint(p, s->size());
-      simd::copy_bytes(p, s->data(), s->size());
+      p = write_varint(p, s->size());
+      if (!s->empty()) std::memcpy(p, s->data(), s->size());
       p += s->size();
     } else {
       *p++ = 0;
@@ -93,7 +92,7 @@ bool decode_slots_view(std::uint8_t tag, ByteView msg,
   const std::uint8_t* const end = p + msg.size();
   if (p == end || *p++ != tag) return false;
   std::uint64_t count = 0;
-  if (!simd::read_varint(p, end, count)) return false;
+  if (!read_varint(p, end, count)) return false;
   if (count != out.size()) return false;
   for (SlotView& slot : out) {
     if (p == end) return false;
@@ -101,7 +100,7 @@ bool decode_slots_view(std::uint8_t tag, ByteView msg,
       slot = std::nullopt;
     } else {
       std::uint64_t len = 0;
-      if (!simd::read_varint(p, end, len)) return false;
+      if (!read_varint(p, end, len)) return false;
       if (len > static_cast<std::uint64_t>(end - p)) return false;
       slot = ByteView(p, static_cast<std::size_t>(len));
       p += len;

@@ -14,8 +14,6 @@
 //   * PayloadPool recycles payload control blocks and their byte capacity —
 //     after a round's inboxes have been consumed the engine releases every
 //     payload back into a pool, and Mailer draws fresh payloads from it;
-//   * BufferPool recycles plain Bytes buffers for paths that stage raw
-//     byte vectors (the net transport's frame assembly);
 //   * the per-round inboxes are slices of one flat, counting-sorted
 //     delivery array (sim/engine.cpp) instead of n separately grown
 //     vectors.
@@ -36,32 +34,6 @@
 #include "common/bytes.h"
 
 namespace treeaa::perf {
-
-/// Recycles the capacity of Bytes buffers. acquire() hands back an empty
-/// buffer that keeps its previous heap allocation; recycle() returns one.
-class BufferPool {
- public:
-  /// An empty buffer, reusing pooled capacity when available.
-  [[nodiscard]] Bytes acquire() {
-    if (free_.empty()) return {};
-    Bytes b = std::move(free_.back());
-    free_.pop_back();
-    b.clear();
-    return b;
-  }
-
-  /// Takes ownership of a no-longer-needed buffer's capacity. Buffers that
-  /// never allocated are dropped (nothing to recycle).
-  void recycle(Bytes&& b) {
-    if (b.capacity() == 0) return;
-    free_.push_back(std::move(b));
-  }
-
-  [[nodiscard]] std::size_t pooled() const { return free_.size(); }
-
- private:
-  std::vector<Bytes> free_;
-};
 
 class PayloadPool;
 

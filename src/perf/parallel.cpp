@@ -5,13 +5,7 @@
 #include <memory>
 #include <utility>
 
-#if defined(__linux__)
-#include <pthread.h>
-#include <sched.h>
-#endif
-
 #include "common/check.h"
-#include "perf/spsc.h"
 
 namespace treeaa::perf {
 
@@ -23,6 +17,18 @@ namespace {
 // pool idling between runs falls asleep and costs nothing.
 constexpr int kSpinIterations = 1 << 14;
 
+// One spin-wait step. On x86 `pause` (and `yield` on arm64) tells the core
+// a sibling hyperthread may run; both keep the waiter off the memory bus.
+inline void cpu_relax() {
+#if defined(__x86_64__) || defined(__i386__)
+  __builtin_ia32_pause();
+#elif defined(__aarch64__)
+  asm volatile("yield");
+#else
+  std::this_thread::yield();
+#endif
+}
+
 std::size_t hardware_workers() {
   const unsigned hw = std::thread::hardware_concurrency();
   return hw == 0 ? 1 : hw;
@@ -30,9 +36,9 @@ std::size_t hardware_workers() {
 
 // TREEAA_FORCE_WORKERS overrides the hardware worker count for
 // default-constructed pools, so CI on single-core runners (the TSan job in
-// particular) still builds real multi-worker pools and exercises the SPSC
-// handoff under contention. Parsed once; 0 / unset / garbage means "no
-// override".
+// particular) still builds real multi-worker pools and exercises the
+// dispatch handshake under contention. Parsed once; 0 / unset / garbage
+// means "no override".
 std::size_t forced_workers() {
   static const std::size_t forced = [] {
     const char* env = std::getenv("TREEAA_FORCE_WORKERS");
@@ -44,22 +50,6 @@ std::size_t forced_workers() {
   }();
   return forced;
 }
-
-std::atomic<bool> g_pin_threads{false};
-
-#if defined(__linux__)
-void pin_to_cpu(std::thread& thread, std::size_t worker) {
-  const std::size_t ncpu = hardware_workers();
-  cpu_set_t set;
-  CPU_ZERO(&set);
-  CPU_SET(worker % ncpu, &set);
-  // Best-effort: a restricted cpuset (containers) may reject the mask, and
-  // the pool is correct either way.
-  (void)pthread_setaffinity_np(thread.native_handle(), sizeof(set), &set);
-}
-#else
-void pin_to_cpu(std::thread&, std::size_t) {}
-#endif
 
 // Idle pools keyed by lane count, waiting for their next lease. A Meyers
 // singleton so the cache (and the pools' threads) are torn down in static
@@ -90,14 +80,6 @@ std::size_t WorkerPool::resolve_lanes(std::size_t threads) {
   return hardware_workers();
 }
 
-void WorkerPool::set_pin_threads(bool pin) {
-  g_pin_threads.store(pin, std::memory_order_relaxed);
-}
-
-bool WorkerPool::pin_threads() {
-  return g_pin_threads.load(std::memory_order_relaxed);
-}
-
 std::size_t WorkerPool::default_workers(std::size_t lanes) {
   const std::size_t forced = forced_workers();
   return std::min(lanes, forced != 0 ? forced : hardware_workers());
@@ -114,15 +96,13 @@ WorkerPool::Lease WorkerPool::lease(std::size_t threads) {
   LeaseCache& cache = lease_cache();
   {
     // Reuse only pools whose full execution config matches the current
-    // process settings — lane count, worker count (TREEAA_FORCE_WORKERS can
-    // change the default), and pinning — so a cached pool is always
+    // process settings — lane count and worker count (TREEAA_FORCE_WORKERS
+    // can change the default) — so a cached pool is always
     // indistinguishable from a freshly built one.
     const std::size_t workers = default_workers(lanes);
-    const bool pin = pin_threads();
     const std::lock_guard<std::mutex> lock(cache.mutex);
     for (auto it = cache.idle.begin(); it != cache.idle.end(); ++it) {
-      if ((*it)->lanes() == lanes && (*it)->workers() == workers &&
-          (*it)->pinned() == pin) {
+      if ((*it)->lanes() == lanes && (*it)->workers() == workers) {
         WorkerPool* pool = it->release();
         cache.idle.erase(it);
         return Lease(pool);
@@ -135,16 +115,13 @@ WorkerPool::Lease WorkerPool::lease(std::size_t threads) {
 WorkerPool::WorkerPool(std::size_t lanes, std::size_t workers)
     : lanes_(lanes),
       workers_(workers == 0 ? default_workers(lanes)
-                            : std::min(lanes, workers)),
-      pinned_(pin_threads()) {
+                            : std::min(lanes, workers)) {
   TREEAA_REQUIRE_MSG(lanes >= 2, "a pool needs at least two lanes");
   errors_.resize(lanes_);
   lane_items_.assign(lanes_, 0);
-  lane_flags_ = std::make_unique<LaneFlag[]>(lanes_);
   threads_.reserve(workers_ - 1);
   for (std::size_t worker = 1; worker < workers_; ++worker) {
     threads_.emplace_back([this, worker] { worker_main(worker); });
-    if (pinned_) pin_to_cpu(threads_.back(), worker);
   }
 }
 
@@ -178,10 +155,6 @@ void WorkerPool::run_lane(std::size_t lane) {
   } catch (...) {
     errors_[lane] = std::current_exception();
   }
-  // Release-publish completion even on exception: a streaming drain observes
-  // done (acquire), then drains the lane's ring to empty — the release store
-  // orders after the lane's final pushes, so nothing is left behind.
-  lane_flags_[lane].done.store(true, std::memory_order_release);
 }
 
 void WorkerPool::run_worker(std::size_t worker) {
@@ -191,27 +164,11 @@ void WorkerPool::run_worker(std::size_t worker) {
 }
 
 void WorkerPool::run(std::size_t count, const Slice& slice) {
-  dispatch(count, slice, nullptr);
-}
-
-void WorkerPool::run(std::size_t count, const Slice& slice,
-                     const IdleHook& on_idle) {
-  dispatch(count, slice, &on_idle);
-}
-
-void WorkerPool::dispatch(std::size_t count, const Slice& slice,
-                          const IdleHook* on_idle) {
   if (count == 0) return;
   slice_ = &slice;
   count_ = count;
   chunk_ = chunk_size(count, lanes_);
   std::fill(errors_.begin(), errors_.end(), nullptr);
-  // Relaxed reset is safe: the seq_cst generation bump below is the
-  // publication point, and workers only touch their flags after observing
-  // the bump (acquire).
-  for (std::size_t lane = 0; lane < lanes_; ++lane) {
-    lane_flags_[lane].done.store(false, std::memory_order_relaxed);
-  }
 
   ++dispatches_;
   if (workers_ > 1) {
@@ -232,13 +189,10 @@ void WorkerPool::dispatch(std::size_t count, const Slice& slice,
 
     run_worker(0);
 
-    // Streaming wait: interleave the caller's drain hook with the spin so
-    // worker-owned rings are emptied while workers are still producing (a
-    // full ring blocks its producer until the drain below frees slots —
-    // see the deadlock-freedom argument in sim/engine.cpp).
+    // Barrier: the acquire load pairs with each worker's release increment
+    // of done_, so every lane's writes are visible once the count is full.
     int spins = 0;
     while (done_.load(std::memory_order_acquire) != workers_ - 1) {
-      if (on_idle != nullptr) (*on_idle)();
       cpu_relax();
       if (++spins >= kSpinIterations) {
         std::this_thread::yield();
@@ -251,10 +205,6 @@ void WorkerPool::dispatch(std::size_t count, const Slice& slice,
     // every observable result — is the same as in the threaded case.
     run_worker(0);
   }
-  // One final drain after every lane has published done: rings are fully
-  // visible (done is a release store ordered after the last push), so this
-  // call leaves them empty.
-  if (on_idle != nullptr) (*on_idle)();
   slice_ = nullptr;
 
   for (const std::exception_ptr& error : errors_) {

@@ -6,7 +6,9 @@
 // Because the partition depends only on (count, lanes) — never on timing —
 // concatenating per-lane results in lane order reproduces the exact serial
 // iteration order, which is what the engine's byte-identical determinism
-// contract is built on (see docs/PERF.md).
+// contract is built on (see docs/PERF.md). run() is a fork-join barrier:
+// each lane writes only its own output, and the caller merges the outputs
+// in lane order after run() returns.
 //
 // Lanes are a determinism unit, not a thread count: a pool with L lanes
 // executes on min(L, hardware) OS threads, each running the lanes
@@ -30,7 +32,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
-#include <memory>
+#include <utility>
 
 #include <atomic>
 #include <condition_variable>
@@ -46,11 +48,6 @@ class WorkerPool {
   /// One lane's share of a dispatch: process indices [begin, end).
   using Slice =
       std::function<void(std::size_t lane, std::size_t begin, std::size_t end)>;
-
-  /// Called repeatedly by the dispatching thread while it waits for the
-  /// other workers (and once more after they all finish). The streaming
-  /// lane-handoff drain in sim::Engine lives behind this hook.
-  using IdleHook = std::function<void()>;
 
   /// Cumulative dispatch counters since pool construction. Pools are
   /// recycled through the lease cache, so consumers that want per-run
@@ -100,17 +97,10 @@ class WorkerPool {
   /// thread, anything else is taken literally.
   [[nodiscard]] static std::size_t resolve_lanes(std::size_t threads);
 
-  /// Process-wide --pin-threads switch: when set, pools built afterwards pin
-  /// their spawned workers to CPUs (worker i -> cpu i mod ncpu, Linux only).
-  /// The lease cache only reuses pools whose pin config matches, so flipping
-  /// the flag mid-process cannot hand back a mis-pinned pool.
-  static void set_pin_threads(bool pin);
-  [[nodiscard]] static bool pin_threads();
-
   /// The worker count a default-constructed pool would use for this lane
   /// count: min(lanes, hardware), overridable via TREEAA_FORCE_WORKERS so
   /// single-core CI (notably the TSan job) still exercises real multi-worker
-  /// SPSC handoff.
+  /// dispatch.
   [[nodiscard]] static std::size_t default_workers(std::size_t lanes);
 
   /// The static chunk width for a dispatch: ceil(count / lanes).
@@ -133,22 +123,6 @@ class WorkerPool {
 
   [[nodiscard]] std::size_t lanes() const { return lanes_; }
   [[nodiscard]] std::size_t workers() const { return workers_; }
-  [[nodiscard]] bool pinned() const { return pinned_; }
-
-  /// True when `lane` executes on the dispatching thread itself. Caller
-  /// lanes cannot overlap with the dispatcher's drain loop, so streaming
-  /// consumers give them plain unbounded staging (a bounded ring would
-  /// deadlock: the producer and the drain are the same thread).
-  [[nodiscard]] bool lane_on_caller(std::size_t lane) const {
-    return workers_ <= 1 || lane % workers_ == 0;
-  }
-
-  /// True once `lane` has finished its slice in the current dispatch
-  /// (including via exception). Acquire-ordered: everything the lane wrote
-  /// — in particular its final ring pushes — is visible once this is true.
-  [[nodiscard]] bool lane_done(std::size_t lane) const {
-    return lane_flags_[lane].done.load(std::memory_order_acquire);
-  }
 
   /// Snapshot of the cumulative dispatch counters. Safe to call between
   /// dispatches (the intended use); calling concurrently with run() yields
@@ -159,33 +133,18 @@ class WorkerPool {
   /// and returns once every lane has finished. The calling thread executes
   /// the lanes congruent to 0 mod workers(). If lanes threw, the lowest
   /// lane's exception is rethrown (a deterministic choice, unlike
-  /// first-to-throw).
+  /// first-to-throw). Everything the lanes wrote is visible to the caller
+  /// once run() returns, so per-lane outputs can be merged in lane order.
   void run(std::size_t count, const Slice& slice);
 
-  /// Streaming variant: while waiting for the other workers the dispatcher
-  /// repeatedly calls `on_idle` (and once more after every lane is done,
-  /// before exceptions are rethrown), so the caller can drain per-lane SPSC
-  /// rings concurrently with production. `on_idle` runs only on the
-  /// dispatching thread.
-  void run(std::size_t count, const Slice& slice, const IdleHook& on_idle);
-
  private:
-  // Per-lane completion flag, padded so adjacent lanes never share a cache
-  // line (each flag has one writer — the owning worker — and one reader).
-  struct alignas(64) LaneFlag {
-    std::atomic<bool> done{false};
-  };
-
-  void dispatch(std::size_t count, const Slice& slice, const IdleHook* on_idle);
   void run_lane(std::size_t lane);
   void run_worker(std::size_t worker);
   void worker_main(std::size_t worker);
 
   std::size_t lanes_;
   std::size_t workers_;
-  bool pinned_ = false;
   std::vector<std::thread> threads_;
-  std::unique_ptr<LaneFlag[]> lane_flags_;
 
   // Dispatch handoff. The dispatcher publishes slice_/count_/chunk_ and
   // then bumps generation_; workers observe the bump (acquire) and read the

@@ -53,17 +53,6 @@ Engine::Engine(std::size_t n, std::size_t t, EngineOptions options)
   if (threads_ > 1) {
     pool_ = perf::WorkerPool::lease(threads_);
     staging_.resize(threads_);
-    // Bounded rings only for worker-owned lanes; caller-owned lanes use the
-    // unbounded staging vectors (see engine.h). The capacity bounds staging
-    // memory per lane while leaving broadcasts room to stream — a full ring
-    // back-pressures its producer onto the dispatcher's drain.
-    constexpr std::size_t kRingCapacity = 4096;
-    rings_.resize(threads_);
-    for (std::size_t lane = 0; lane < threads_; ++lane) {
-      if (!pool_.get()->lane_on_caller(lane)) {
-        rings_[lane] = std::make_unique<perf::SpscRing<Envelope>>(kRingCapacity);
-      }
-    }
   }
   arenas_.resize(threads_);
 }
@@ -258,65 +247,21 @@ void Engine::send_phase(Round r) {
 }
 
 // The parallel send phase. Lane l owns the statically-chunked party range
-// [l*chunk, (l+1)*chunk). Worker-owned lanes stream their envelopes through
-// bounded SPSC rings that the dispatching thread drains concurrently, while
-// caller-owned lanes buffer into staging_ (they run on the dispatching
-// thread itself, before its wait loop). The drain consumes lanes strictly
-// in lane order, so queued_ receives exactly the serial party-ascending
-// order and everything downstream (the adversary's rushing view, the stable
-// delivery sort, traces, stats) is byte-identical to send_phase(). Stats
-// and the on_queued trace hook fire inside the drain, on one thread, in
-// that same serial order.
-//
-// Deadlock-freedom: the drain can only stall on the lowest incomplete lane
-// m. m's owning worker is either computing (progress), or blocked pushing
-// into the ring of its *current* lane — and since a worker runs its lanes
-// in ascending order and every lane before its current one is done, an
-// incomplete m owned by that worker satisfies m >= current; a blocked push
-// therefore only happens on m itself, which the drain is about to empty.
+// [l*chunk, (l+1)*chunk) and stages its envelopes into staging_[lane]. Once
+// pool.run() returns, every lane is done, and the dispatching thread appends
+// the staging vectors to queued_ in lane order, so queued_ receives exactly
+// the serial party-ascending order and everything downstream (the
+// adversary's rushing view, the stable delivery sort, traces, stats) is
+// byte-identical to send_phase(). Stats and the on_queued trace hook fire
+// during that merge, on one thread, in that same serial order.
 void Engine::send_phase_parallel(Round r) {
-  perf::WorkerPool& pool = *pool_.get();
   for (std::vector<Envelope>& lane_out : staging_) lane_out.clear();
-  drain_cursor_ = 0;
-  auto& rt = stats_.per_round.back();
-  const auto enqueue = [&](Envelope&& e) {
-    rt.honest_messages += 1;
-    rt.honest_bytes += e.payload.size();
-    queued_.push_back(std::move(e));
-    if (tracer_ != nullptr) tracer_->on_queued(queued_.back(), false);
-  };
-  const auto drain = [&] {
-    while (drain_cursor_ < threads_) {
-      const std::size_t lane = drain_cursor_;
-      if (rings_[lane] == nullptr) {
-        // Caller-owned lane: complete by the time the dispatcher runs the
-        // drain, but check anyway so the hook is safe at any point.
-        if (!pool.lane_done(lane)) return;
-        for (Envelope& e : staging_[lane]) enqueue(std::move(e));
-        staging_[lane].clear();
-      } else {
-        // Load the done flag BEFORE popping: if the lane was already done
-        // when we started and the ring then drains empty, nothing can be
-        // published after (the done release-store orders after the lane's
-        // final push), so the lane is complete.
-        const bool done = pool.lane_done(lane);
-        Envelope e;
-        while (rings_[lane]->try_pop(e)) enqueue(std::move(e));
-        if (!done) return;
-      }
-      ++drain_cursor_;
-    }
-  };
-  pool.run(
-      n(),
-      [&](std::size_t lane, std::size_t begin, std::size_t end) {
+  pool_.get()->run(
+      n(), [&](std::size_t lane, std::size_t begin, std::size_t end) {
         for (std::size_t i = begin; i < end; ++i) {
           const PartyId p = static_cast<PartyId>(i);
           if (corrupt_[p]) continue;
-          Mailer mailer =
-              rings_[lane] != nullptr
-                  ? Mailer(p, n(), *rings_[lane], r, &arenas_[lane])
-                  : Mailer(p, n(), staging_[lane], r, &arenas_[lane]);
+          Mailer mailer(p, n(), staging_[lane], r, &arenas_[lane]);
           if (tracer_ != nullptr) {
             tracer_->on_party_begin(p, r, Phase::kSend, lane);
           }
@@ -325,8 +270,16 @@ void Engine::send_phase_parallel(Round r) {
             tracer_->on_party_end(p, r, Phase::kSend, lane);
           }
         }
-      },
-      drain);
+      });
+  auto& rt = stats_.per_round.back();
+  for (std::vector<Envelope>& lane_out : staging_) {
+    for (Envelope& e : lane_out) {
+      rt.honest_messages += 1;
+      rt.honest_bytes += e.payload.size();
+      queued_.push_back(std::move(e));
+      if (tracer_ != nullptr) tracer_->on_queued(queued_.back(), false);
+    }
+  }
 }
 
 // Hands every honest party its inbox slice. Parties only read their own

@@ -17,7 +17,8 @@
 // Everything is deterministic given the processes and the adversary, so any
 // execution reproduces exactly — including at EngineOptions::threads > 1,
 // where the send and delivery phases fan honest parties out over a worker
-// pool with static chunking and merge per-lane results in lane order, so
+// pool with static chunking. Each send lane stages its messages, and the
+// engine merges the staging in lane order after the pool's barrier, so
 // queued-message order, the adversary's rushing view, traces, stats, and
 // every report are byte-identical to the serial engine (docs/PERF.md).
 #pragma once
@@ -28,7 +29,6 @@
 #include "common/check.h"
 #include "perf/arena.h"
 #include "perf/parallel.h"
-#include "perf/spsc.h"
 #include "sim/adversary.h"
 #include "sim/envelope.h"
 #include "sim/link.h"
@@ -125,21 +125,16 @@ class Engine {
   // Parallel-phase state. arenas_[lane] recycles payload control blocks for
   // the Mailer running on that lane (one arena at threads_ == 1).
   //
-  // Lane handoff is streaming: worker-owned lanes push envelopes into their
-  // bounded SPSC ring (rings_[lane]) while the dispatching thread drains the
-  // rings concurrently, strictly in lane order (drain_cursor_), so queued_
-  // receives messages in exactly the serial party-ascending order.
-  // Caller-owned lanes (those the dispatching thread itself executes) keep
-  // plain unbounded staging_ vectors instead — the dispatcher cannot drain
-  // while it is producing, so a bounded ring would deadlock; their staging
-  // is merged wholesale when the drain cursor reaches them.
+  // Lane handoff is fork-join: every lane stages its envelopes into
+  // staging_[lane], and once the pool's barrier returns the dispatching
+  // thread appends the staging vectors to queued_ in lane order, so queued_
+  // receives messages in exactly the serial party-ascending order. Staging
+  // keeps its capacity across rounds.
   // recycle_cursor_ round-robins freed payloads across arenas so every
   // lane's pool stays warm.
   perf::WorkerPool::Lease pool_;
   std::vector<perf::PayloadPool> arenas_;
   std::vector<std::vector<Envelope>> staging_;
-  std::vector<std::unique_ptr<perf::SpscRing<Envelope>>> rings_;
-  std::size_t drain_cursor_ = 0;
   std::size_t recycle_cursor_ = 0;
 
   TrafficStats stats_;

@@ -17,16 +17,14 @@
 #include "common/check.h"
 #include "common/types.h"
 #include "perf/arena.h"
-#include "perf/spsc.h"
 #include "sim/envelope.h"
 
 namespace treeaa::sim {
 
-/// Collects one party's outgoing messages for the current round. The sink is
-/// either a plain vector (serial engine, caller-owned lanes, standalone
-/// constructions) or a bounded SPSC ring that a worker-owned lane shares
-/// with the engine's streaming drain — either way messages land in exact
-/// send order, which the byte-identity contract depends on.
+/// Collects one party's outgoing messages for the current round into a plain
+/// vector: queued_ in the serial engine, the lane's staging vector in the
+/// parallel one. Messages land in exact send order, which the byte-identity
+/// contract depends on.
 class Mailer {
  public:
   /// `pool` (optional) recycles payload control blocks and capacity; the
@@ -35,20 +33,15 @@ class Mailer {
          Round round, perf::PayloadPool* pool = nullptr)
       : self_(self), n_(n), sink_(&sink), round_(round), pool_(pool) {}
 
-  /// Ring-sink variant for worker-owned lanes: pushes block (spin) when the
-  /// ring is full, relying on the engine's concurrent drain for progress.
-  Mailer(PartyId self, std::size_t n, perf::SpscRing<Envelope>& ring,
-         Round round, perf::PayloadPool* pool = nullptr)
-      : self_(self), n_(n), ring_(&ring), round_(round), pool_(pool) {}
-
   /// Sends `payload` to party `to`. Sending to self is allowed and the
   /// message is delivered like any other (protocols in this repository count
   /// their own value by receiving it).
   void send(PartyId to, Bytes payload) {
     TREEAA_REQUIRE_MSG(to < n_, "recipient " << to << " out of range");
-    emit(Envelope{self_, to, round_,
-                  pool_ != nullptr ? pool_->adopt(std::move(payload))
-                                   : perf::Payload(std::move(payload))});
+    sink_->push_back(Envelope{self_, to, round_,
+                              pool_ != nullptr
+                                  ? pool_->adopt(std::move(payload))
+                                  : perf::Payload(std::move(payload))});
   }
 
   /// Sends the same payload to every party (including self). The payload is
@@ -62,27 +55,18 @@ class Mailer {
                                             : perf::Payload(Bytes(payload));
     const PartyId last = static_cast<PartyId>(n_ - 1);
     for (PartyId to = 0; to < last; ++to) {
-      emit(Envelope{self_, to, round_, shared});
+      sink_->push_back(Envelope{self_, to, round_, shared});
     }
-    emit(Envelope{self_, last, round_, std::move(shared)});
+    sink_->push_back(Envelope{self_, last, round_, std::move(shared)});
   }
 
   [[nodiscard]] PartyId self() const { return self_; }
   [[nodiscard]] std::size_t n() const { return n_; }
 
  private:
-  void emit(Envelope&& e) {
-    if (ring_ != nullptr) {
-      ring_->push(std::move(e));
-    } else {
-      sink_->push_back(std::move(e));
-    }
-  }
-
   PartyId self_;
   std::size_t n_;
-  std::vector<Envelope>* sink_ = nullptr;
-  perf::SpscRing<Envelope>* ring_ = nullptr;
+  std::vector<Envelope>* sink_;
   Round round_;
   perf::PayloadPool* pool_;
 };

@@ -1,6 +1,6 @@
 // The sweep-spec JSON reader: accepted documents, rejected garbage, and the
 // document-order guarantees the spec layer relies on.
-#include "exp/json_value.h"
+#include "common/json_value.h"
 
 #include <gtest/gtest.h>
 

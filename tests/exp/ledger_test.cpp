@@ -10,7 +10,7 @@
 #include <string>
 
 #include "bounds/fekete.h"
-#include "exp/json_value.h"
+#include "common/json_value.h"
 #include "obs/report.h"
 
 namespace treeaa::exp {

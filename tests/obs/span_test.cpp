@@ -9,7 +9,7 @@
 #include <vector>
 
 #include "core/api.h"
-#include "exp/json_value.h"
+#include "common/json_value.h"
 #include "harness/runner.h"
 #include "obs/report.h"
 #include "trees/generators.h"
@@ -55,16 +55,16 @@ TEST(SpanSink, ChromeJsonParsesWithExpectedEventShapes) {
   sink.instant(t, "tick", 1500);
   sink.flow_start(t, 42, 1200);
   sink.flow_finish(t, 42, 2800);
-  const auto doc = exp::JsonValue::parse(sink.to_chrome_json());
+  const auto doc = treeaa::JsonValue::parse(sink.to_chrome_json());
   ASSERT_TRUE(doc.has_value());
-  const exp::JsonValue* events = doc->find("traceEvents");
+  const treeaa::JsonValue* events = doc->find("traceEvents");
   ASSERT_NE(events, nullptr);
   ASSERT_TRUE(events->is_array());
 
   std::size_t meta = 0;
   bool saw_span = false, saw_instant = false;
   bool saw_flow_start = false, saw_flow_finish = false;
-  for (const exp::JsonValue& e : events->items()) {
+  for (const treeaa::JsonValue& e : events->items()) {
     const std::string ph = e.find("ph")->as_string();
     if (ph == "M") {
       ++meta;
@@ -107,9 +107,9 @@ TEST(SpanSink, BackwardsSpanClampsToZeroDuration) {
   SpanSink sink;
   const TrackId t = sink.track("p", "t");
   sink.complete(t, "inverted", 5000, 1000);
-  const auto doc = exp::JsonValue::parse(sink.to_chrome_json());
+  const auto doc = treeaa::JsonValue::parse(sink.to_chrome_json());
   ASSERT_TRUE(doc.has_value());
-  for (const exp::JsonValue& e : doc->find("traceEvents")->items()) {
+  for (const treeaa::JsonValue& e : doc->find("traceEvents")->items()) {
     if (e.find("ph")->as_string() != "X") continue;
     EXPECT_DOUBLE_EQ(e.find("dur")->as_number(), 0.0);
   }

@@ -79,10 +79,6 @@ bool parse_common_flag(const std::vector<std::string>& args, std::size_t& i,
     flags.reps_scale = std::stod(next_value(args, i, fail));
     return true;
   }
-  if (set.pin_threads && arg == "--pin-threads") {
-    flags.pin_threads = true;
-    return true;
-  }
   return false;
 }
 
@@ -105,7 +101,6 @@ std::string common_flags_usage(const CommonFlagSet& set) {
     add("[--out <file|->] [--check-against <baseline.json>]");
     add("[--max-regression <pct>] [--reps-scale <x>]");
   }
-  if (set.pin_threads) add("[--pin-threads]");
   return out;
 }
 

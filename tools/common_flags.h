@@ -38,9 +38,6 @@ struct CommonFlagSet {
   /// --out (alias --metrics), --check-against, --max-regression,
   /// --reps-scale. Mutually exclusive with `metrics` (both claim --metrics).
   bool bench_gate = false;
-  /// --pin-threads: pin perf::WorkerPool workers to CPUs (see
-  /// WorkerPool::set_pin_threads). The caller applies flags.pin_threads.
-  bool pin_threads = false;
 };
 
 /// Parsed values, defaulted exactly as the tools always defaulted them.
@@ -62,7 +59,6 @@ struct CommonFlags {
   std::string check_against;       // --check-against <baseline.json>
   double max_regression_pct = 25;  // --max-regression <pct>
   double reps_scale = 1.0;         // --reps-scale <x>
-  bool pin_threads = false;        // --pin-threads
 };
 
 /// The tool's usage() — prints and exits, never returns.

@@ -33,7 +33,7 @@
 #include <vector>
 
 #include "common_flags.h"
-#include "exp/json_value.h"
+#include "common/json_value.h"
 #include "exp/ledger.h"
 #include "obs/json.h"
 #include "obs/sink.h"
@@ -73,18 +73,18 @@ std::string read_all(const std::string& path) {
 /// document ({"traceEvents": [...]}); exits on malformed JSON so CI's
 /// "the trace parses" check is this tool, not an external validator.
 exp::TraceStats span_stats(const std::string& text, exp::TraceStats stats) {
-  const auto doc = exp::JsonValue::parse(text);
+  const auto doc = treeaa::JsonValue::parse(text);
   if (!doc.has_value() || !doc->is_object()) {
     usage("--spans file is not a JSON object");
   }
-  const exp::JsonValue* events = doc->find("traceEvents");
+  const treeaa::JsonValue* events = doc->find("traceEvents");
   if (events == nullptr || !events->is_array()) {
     usage("--spans file has no traceEvents array");
   }
   std::uint64_t spans = 0;
   std::uint64_t flows = 0;
-  for (const exp::JsonValue& e : events->items()) {
-    const exp::JsonValue* ph = e.find("ph");
+  for (const treeaa::JsonValue& e : events->items()) {
+    const treeaa::JsonValue* ph = e.find("ph");
     if (ph == nullptr || !ph->is_string()) continue;
     const std::string& kind = ph->as_string();
     if (kind == "X" || kind == "i") {
@@ -92,13 +92,13 @@ exp::TraceStats span_stats(const std::string& text, exp::TraceStats stats) {
     } else if (kind == "s" || kind == "f") {
       ++flows;
     } else if (kind == "M") {
-      const exp::JsonValue* name = e.find("name");
+      const treeaa::JsonValue* name = e.find("name");
       if (name == nullptr || !name->is_string() ||
           name->as_string() != "process_name") {
         continue;
       }
-      const exp::JsonValue* args = e.find("args");
-      const exp::JsonValue* process =
+      const treeaa::JsonValue* args = e.find("args");
+      const treeaa::JsonValue* process =
           args == nullptr ? nullptr : args->find("name");
       if (process != nullptr && process->is_string()) {
         stats.tracks.push_back(process->as_string());
@@ -174,7 +174,7 @@ int main(int argc, char** argv) {
   if (out_path.empty()) out_path.push_back('-');
 
   try {
-    const auto doc = exp::JsonValue::parse(read_all(report_path));
+    const auto doc = treeaa::JsonValue::parse(read_all(report_path));
     if (!doc.has_value()) usage("--report file is not valid JSON");
     const auto input = exp::ledger_input_from_json(*doc, eps_override);
     if (!input.has_value()) {
