@@ -4,7 +4,10 @@
 // protocol bug — malformed must always mean nullopt.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstddef>
+#include <utility>
+#include <vector>
 
 #include "common/rng.h"
 #include "gradecast/wire.h"
@@ -106,6 +109,62 @@ TEST(GradecastWireFuzz, SlotsEncodingGoldenBytes) {
   EXPECT_EQ(encode_slots(kTagEcho, slots),
             (Bytes{0x02, 3, 1, 2, 0xAA, 0xBB, 0, 1, 0}));
   EXPECT_EQ(encode_leader(Bytes{0x07}), (Bytes{0x01, 1, 0x07}));
+}
+
+// The pointer-bump encoder sizes the message up front and memcpys each
+// slot body; bodies straddling the one-to-two-byte varint length boundary
+// (127/128) must round-trip exactly, through both the owning and the
+// zero-copy decoder, with the message exactly as long as its layout.
+TEST(GradecastWireFuzz, SlotBodiesRoundTripAtEverySize) {
+  for (std::size_t len = 0; len <= 300; ++len) {
+    Bytes body(len);
+    for (std::size_t i = 0; i < len; ++i) {
+      body[i] = static_cast<std::uint8_t>(i * 37 + 11);
+    }
+    const Bytes half(body.begin(), body.begin() + static_cast<long>(len / 2));
+    const std::vector<Slot> slots{body, std::nullopt, half};
+    const Bytes msg = encode_slots(kTagSupport, slots);
+    EXPECT_EQ(msg.size(), 1 + 1 + (1 + varint_len(len) + len) + 1 +
+                              (1 + varint_len(len / 2) + len / 2))
+        << "len " << len;
+    ASSERT_EQ(decode_slots(kTagSupport, msg, 3), slots) << "len " << len;
+
+    std::vector<SlotView> views(3);
+    ASSERT_TRUE(decode_slots_view(kTagSupport, msg, views));
+    ASSERT_TRUE(views[0].has_value());
+    EXPECT_FALSE(views[1].has_value());
+    ASSERT_TRUE(views[2].has_value());
+    EXPECT_TRUE(std::equal(views[0]->begin(), views[0]->end(), body.begin(),
+                           body.end()));
+    EXPECT_TRUE(std::equal(views[2]->begin(), views[2]->end(), half.begin(),
+                           half.end()));
+    // Views alias the message buffer rather than copying out of it.
+    EXPECT_GE(views[0]->data(), msg.data());
+    EXPECT_LE(views[2]->data() + views[2]->size(), msg.data() + msg.size());
+  }
+}
+
+// encode_slots must stay byte-identical to the straightforward ByteWriter
+// encoding of the same layout, on arbitrary slot vectors.
+TEST(GradecastWireFuzz, SlotsMatchIncrementalByteWriterEncoding) {
+  Rng rng(0x5107B);
+  for (int iter = 0; iter < 500; ++iter) {
+    std::vector<Slot> slots(rng.index(20));
+    for (Slot& s : slots) {
+      if (rng.chance(0.3)) continue;
+      Bytes body(rng.index(200), 0);
+      for (auto& b : body) b = static_cast<std::uint8_t>(rng.next() & 0xFF);
+      s = std::move(body);
+    }
+    ByteWriter w;
+    w.u8(kTagEcho);
+    w.varint(slots.size());
+    for (const Slot& s : slots) {
+      w.u8(static_cast<std::uint8_t>(s.has_value()));
+      if (s.has_value()) w.blob(*s);
+    }
+    ASSERT_EQ(encode_slots(kTagEcho, slots), w.bytes()) << "iteration " << iter;
+  }
 }
 
 TEST(GradecastWireFuzz, BitFlipsNeverCrashTheDecoder) {

@@ -67,6 +67,53 @@ TEST(RealAAWireFuzz, RejectsNonFiniteBitPatterns) {
             std::nullopt);
 }
 
+// Every bit pattern with an all-ones exponent is an infinity or a NaN,
+// whatever its sign and mantissa (NaN payloads included); every pattern
+// just below it is finite and must decode to exactly that value.
+TEST(RealAAWireFuzz, FinitenessCheckCoversEveryExponentAllOnesPattern) {
+  Rng rng(0xE4F);
+  for (int iter = 0; iter < 2000; ++iter) {
+    const std::uint64_t sign = rng.chance(0.5) ? std::uint64_t{1} << 63 : 0;
+    const std::uint64_t mantissa =
+        iter == 0 ? 0 : rng.next() & ((std::uint64_t{1} << 52) - 1);
+    const std::uint64_t non_finite =
+        sign | (std::uint64_t{0x7FF} << 52) | mantissa;
+    const std::uint64_t largest_exponent =
+        sign | (std::uint64_t{0x7FE} << 52) | mantissa;
+    Bytes msg(8);
+    for (int i = 0; i < 8; ++i) {
+      msg[static_cast<std::size_t>(i)] =
+          static_cast<std::uint8_t>(non_finite >> (8 * i));
+    }
+    EXPECT_EQ(decode_value(msg), std::nullopt) << std::hex << non_finite;
+    for (int i = 0; i < 8; ++i) {
+      msg[static_cast<std::size_t>(i)] =
+          static_cast<std::uint8_t>(largest_exponent >> (8 * i));
+    }
+    const auto decoded = decode_value(msg);
+    ASSERT_TRUE(decoded.has_value()) << std::hex << largest_exponent;
+    EXPECT_EQ(encode_value(*decoded), msg);
+  }
+}
+
+// Decode hot paths hand in payload views at arbitrary offsets; the load
+// must not assume 8-byte alignment.
+TEST(RealAAWireFuzz, DecodesUnalignedViews) {
+  const double values[] = {-2.0, 0.1, 1e300, -0.0};
+  for (const double v : values) {
+    const Bytes enc = encode_value(v);
+    for (std::size_t offset = 0; offset < 8; ++offset) {
+      Bytes buf(offset, 0xAB);
+      buf.insert(buf.end(), enc.begin(), enc.end());
+      buf.push_back(0xCD);
+      const auto decoded =
+          decode_value(std::span<const std::uint8_t>(buf).subspan(offset, 8));
+      ASSERT_TRUE(decoded.has_value()) << "offset " << offset;
+      EXPECT_EQ(std::memcmp(&*decoded, &v, sizeof v), 0) << "offset " << offset;
+    }
+  }
+}
+
 TEST(RealAAWireFuzz, RandomBytesDecodeFiniteOrNotAtAll) {
   Rng rng(0xF10A7);
   int decoded_count = 0;
