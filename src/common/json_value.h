@@ -1,14 +1,13 @@
-// Minimal recursive JSON reader shared by every layer that ingests nested
-// documents: sweep specs (src/exp), adversary specs (src/harness), the hunt
-// corpus (src/hunt), and the trace tool.
+// The repository's one JSON reader: a minimal recursive document parser
+// shared by every layer that ingests JSON — sweep specs (src/exp),
+// adversary specs (src/harness), the hunt corpus (src/hunt), and the trace
+// tool's reports, span files and JSONL transcript lines. Writing goes
+// through obs::JsonWriter (obs/json.h).
 //
-// The observability subsystem (obs/json.h) deliberately ships only a *flat*
-// object parser — enough to round-trip trace lines. Nested inputs (scenario
-// arrays, axis lists, adversary parameter objects) use this small document
-// reader instead. It is a strict RFC 8259 subset: objects, arrays, strings
-// (ASCII escapes), doubles, bools, null — no comments, no trailing commas.
-// Object members keep document order, which the spec layer uses for
-// deterministic error messages.
+// It is a strict RFC 8259 subset: objects, arrays, strings (ASCII escapes),
+// doubles, bools, null — no comments, no trailing commas. Object members
+// keep document order, which the spec layer uses for deterministic error
+// messages.
 #pragma once
 
 #include <memory>

@@ -5,9 +5,7 @@
 
 #include "common/check.h"
 #include "obs/probe.h"
-#include "obs/span.h"
 #include "sim/engine.h"
-#include "trees/euler.h"
 #include "trees/paths.h"
 
 namespace treeaa::core {
@@ -52,21 +50,14 @@ void snapshot_tree_aa(const perf::TreeIndex& index, const sim::Engine& engine,
 
 }  // namespace
 
-RunResult run_tree_aa(const LabeledTree& tree,
-                      const std::vector<VertexId>& inputs, std::size_t t,
-                      TreeAAOptions opts,
-                      std::unique_ptr<sim::Adversary> adversary,
-                      const obs::Hooks* hooks,
-                      sim::EngineOptions engine_opts) {
+RunResult detail::run_tree_aa_over(const perf::TreeIndex& index,
+                                   const std::vector<VertexId>& inputs,
+                                   std::size_t t, TreeAAOptions opts,
+                                   std::unique_ptr<sim::Adversary> adversary,
+                                   const obs::Hooks* hooks,
+                                   sim::EngineOptions engine_opts,
+                                   const TreeAASnapshot& snapshot) {
   const std::size_t n = inputs.size();
-  TREEAA_REQUIRE_MSG(n > 3 * t, "TreeAA requires n > 3t (n = " << n
-                                                               << ", t = " << t
-                                                               << ")");
-  for (const VertexId v : inputs) tree.require_vertex(v);
-
-  // One shared index serves every party's LCA/projection queries and the
-  // per-round probes; it subsumes the Euler list the processes used to get.
-  const perf::TreeIndex index(tree);
   sim::Engine engine(n, std::max<std::size_t>(t, 1), engine_opts);
   std::vector<TreeAAProcess*> procs(n);
   for (PartyId p = 0; p < n; ++p) {
@@ -77,72 +68,26 @@ RunResult run_tree_aa(const LabeledTree& tree,
   }
   if (adversary != nullptr) engine.set_adversary(std::move(adversary));
 
-  const std::size_t rounds = tree_aa_rounds(tree, n, t, opts);
+  const std::size_t phase1_rounds =
+      procs.empty() ? 0 : procs[0]->telemetry().phase1_rounds;
   obs::RunReport* report = hooks != nullptr ? hooks->report : nullptr;
-  if (hooks != nullptr && hooks->active()) {
-    if (report != nullptr) {
-      report->protocol = "tree_aa";
-      report->add_param("tree_n", static_cast<std::uint64_t>(tree.n()));
-      report->add_param("tree_diameter",
-                        static_cast<std::uint64_t>(tree.diameter()));
-      report->add_param("engine", real_engine_name(opts.engine));
-      report->add_param(
-          "phase1_rounds",
-          static_cast<std::uint64_t>(
-              procs.empty() ? 0 : procs[0]->telemetry().phase1_rounds));
-    }
-    // Tracer chain: probe -> spans -> caller's transcript tracer.
-    std::optional<obs::SpanTracer> span_tracer;
-    sim::Tracer* chained = hooks->tracer;
-    if (hooks->spans != nullptr) {
-      span_tracer.emplace(*hooks->spans, chained);
-      chained = &*span_tracer;
-    }
-    obs::ProbeTracer probe(chained);
-    engine.set_tracer(&probe);
-    obs::DriverSpans driver_spans(hooks->spans);
-    const std::size_t phase1_rounds =
-        procs.empty() ? 0 : procs[0]->telemetry().phase1_rounds;
-    // TreeAA = phase-1 flooding, then PathsFinder's gradecast iterations
-    // (three sub-rounds each: leader/echo/support).
-    const auto round_name = [&](Round r) -> std::string {
-      if (r <= phase1_rounds) {
-        return "phase1 \xc2\xb7 round " + std::to_string(r);
-      }
-      const Round r2 = r - static_cast<Round>(phase1_rounds);
-      static constexpr const char* kStep[3] = {"leader", "echo", "support"};
-      return "phase2 \xc2\xb7 iter " + std::to_string((r2 - 1) / 3 + 1) +
-             " \xc2\xb7 " + kStep[(r2 - 1) % 3];
-    };
-    const perf::WorkerPool* pool = engine.pool();
-    perf::WorkerPool::DispatchStats pool_base;
-    if (pool != nullptr && report != nullptr) pool_base = pool->stats();
-    obs::Histogram* round_sink =
-        report == nullptr ? nullptr
-                          : &report->timing.histogram(
-                                "round_wall_ns", obs::ScopeTimer::wall_bounds());
-    obs::ScopeTimer run_timer(
-        report == nullptr ? nullptr
-                          : &report->timing.histogram(
-                                "run_wall_ns", obs::ScopeTimer::wall_bounds()));
-    for (std::size_t r = 0; r < rounds; ++r) {
-      obs::ScopeTimer round_timer(round_sink);
-      driver_spans.begin_round();
-      engine.run(static_cast<Round>(1));
-      driver_spans.end_round(round_name(static_cast<Round>(r + 1)));
-      if (report != nullptr && probe.current() != nullptr) {
-        snapshot_tree_aa(index, engine, procs, *probe.current());
-      }
-    }
-    run_timer.stop();
-    engine.set_tracer(nullptr);
-    if (report != nullptr) {
-      report->per_round = probe.take();
-      obs::fill_pool_gauges(report->timing, pool, pool_base);
-    }
-  } else {
-    engine.run(static_cast<Round>(rounds));
+  if (report != nullptr) {
+    report->add_param("engine", real_engine_name(opts.engine));
+    report->add_param("phase1_rounds",
+                      static_cast<std::uint64_t>(phase1_rounds));
   }
+  // TreeAA = phase-1 flooding, then PathsFinder's gradecast iterations
+  // (three sub-rounds each: leader/echo/support).
+  obs::drive_rounds(
+      engine, tree_aa_rounds(index.tree(), n, t, opts), hooks,
+      [&](obs::RoundSample& s) { snapshot(engine, procs, s); },
+      [&](Round r) -> std::string {
+        if (r <= phase1_rounds) {
+          return "phase1 \xc2\xb7 round " + std::to_string(r);
+        }
+        const Round r2 = r - static_cast<Round>(phase1_rounds);
+        return "phase2 \xc2\xb7 " + obs::gradecast_round_name(r2);
+      });
 
   RunResult result;
   result.outputs.resize(n);
@@ -182,6 +127,36 @@ RunResult run_tree_aa(const LabeledTree& tree,
         static_cast<std::uint64_t>(result.max_detected_faulty));
   }
   return result;
+}
+
+RunResult run_tree_aa(const LabeledTree& tree,
+                      const std::vector<VertexId>& inputs, std::size_t t,
+                      TreeAAOptions opts,
+                      std::unique_ptr<sim::Adversary> adversary,
+                      const obs::Hooks* hooks,
+                      sim::EngineOptions engine_opts) {
+  const std::size_t n = inputs.size();
+  TREEAA_REQUIRE_MSG(n > 3 * t, "TreeAA requires n > 3t (n = " << n
+                                                               << ", t = " << t
+                                                               << ")");
+  for (const VertexId v : inputs) tree.require_vertex(v);
+
+  obs::RunReport* report = hooks != nullptr ? hooks->report : nullptr;
+  if (report != nullptr) {
+    report->protocol = "tree_aa";
+    report->add_param("tree_n", static_cast<std::uint64_t>(tree.n()));
+    report->add_param("tree_diameter",
+                      static_cast<std::uint64_t>(tree.diameter()));
+  }
+  // One shared index serves every party's LCA/projection queries and the
+  // per-round probes.
+  const perf::TreeIndex index(tree);
+  return detail::run_tree_aa_over(
+      index, inputs, t, opts, std::move(adversary), hooks, engine_opts,
+      [&index](const sim::Engine& engine,
+               const std::vector<TreeAAProcess*>& procs, obs::RoundSample& s) {
+        snapshot_tree_aa(index, engine, procs, s);
+      });
 }
 
 AgreementCheck check_agreement(const LabeledTree& tree,

@@ -6,6 +6,7 @@
 // into custom simulations.
 #pragma once
 
+#include <functional>
 #include <memory>
 #include <optional>
 #include <vector>
@@ -63,6 +64,30 @@ struct RunResult {
     std::size_t t, TreeAAOptions opts = {},
     std::unique_ptr<sim::Adversary> adversary = nullptr,
     const obs::Hooks* hooks = nullptr, sim::EngineOptions engine_opts = {});
+
+namespace detail {
+
+/// Merges the live TreeAA parties' state into the sample of the round that
+/// just ended.
+using TreeAASnapshot = std::function<void(
+    const sim::Engine&, const std::vector<TreeAAProcess*>&, obs::RoundSample&)>;
+
+/// The TreeAA run behind run_tree_aa and graphs::run_block_aa: one
+/// TreeAAProcess per party over `index` (inputs are vertices of
+/// index.tree()), tree_aa_rounds rounds through obs::drive_rounds with the
+/// "phase1 · round R" / "phase2 · iter K · step" driver-span names, and the
+/// outcome block. Outputs are the raw TreeAA outputs. With a report sink it
+/// adds the "engine" and "phase1_rounds" params (callers add theirs around
+/// them), the path_length histogram, the totals and the path_split /
+/// clamp_count / max_detected_faulty outcomes. The caller checks n > 3t and
+/// the inputs.
+[[nodiscard]] RunResult run_tree_aa_over(
+    const perf::TreeIndex& index, const std::vector<VertexId>& inputs,
+    std::size_t t, TreeAAOptions opts,
+    std::unique_ptr<sim::Adversary> adversary, const obs::Hooks* hooks,
+    sim::EngineOptions engine_opts, const TreeAASnapshot& snapshot);
+
+}  // namespace detail
 
 /// The verdict of check_agreement: both AA conditions on trees
 /// (Definition 2), evaluated against the honest inputs/outputs.

@@ -69,21 +69,9 @@ using BlockAAOptions = core::TreeAAOptions;
                                             VertexId a_node,
                                             VertexId own_input);
 
-struct BlockRunResult {
-  /// Per-party G-vertex outputs; disengaged for corrupt parties.
-  std::vector<std::optional<VertexId>> outputs;
-  std::vector<PartyId> corrupt;
-  Round rounds = 0;
-  sim::TrafficStats traffic;
-
-  // Inner-TreeAA telemetry, aggregated over honest parties (see
-  // core::RunResult for the fields' meaning).
-  bool path_split = false;
-  std::size_t clamp_count = 0;
-  std::size_t max_detected_faulty = 0;
-
-  [[nodiscard]] std::vector<VertexId> honest_outputs() const;
-};
+/// Per-party G-vertex outputs (disengaged for corrupt parties) plus the
+/// inner TreeAA's telemetry — the same fields as a TreeAA run.
+using BlockRunResult = core::RunResult;
 
 /// Runs BlockAA with `inputs.size()` parties holding the given G vertices,
 /// tolerating up to `t` corruptions. Mirrors core::run_tree_aa exactly —

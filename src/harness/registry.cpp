@@ -15,7 +15,6 @@
 #include "graphs/block_aa.h"
 #include "harness/adversary_spec.h"
 #include "obs/probe.h"
-#include "obs/span.h"
 #include "perf/tree_index.h"
 #include "realaa/adversaries.h"
 #include "sim/engine.h"
@@ -32,22 +31,6 @@ struct NoSnapshot {
   void operator()(const sim::Engine&, const std::vector<Proc*>&,
                   obs::RoundSample&) const {}
 };
-
-/// Default driver-span round namer; protocol-aware runners substitute
-/// iteration/phase names ("iter 2 · echo").
-struct DefaultRoundName {
-  std::string operator()(Round r) const {
-    return "round " + std::to_string(r);
-  }
-};
-
-/// RealAA (and TreeAA phase-2) rounds are gradecast sub-rounds, three per
-/// iteration: leader, echo, support (src/gradecast/wire.h).
-std::string gradecast_round_name(std::size_t iteration, Round r) {
-  static constexpr const char* kStep[3] = {"leader", "echo", "support"};
-  return "iter " + std::to_string(iteration) + " \xc2\xb7 " +
-         kStep[(r - 1) % 3];
-}
 
 /// max - min over the honest parties' current scalar estimates; disengaged
 /// when no honest party reports a finite value (e.g. before round 1 of an
@@ -84,18 +67,19 @@ std::uint64_t honest_max_detected(const sim::Engine& engine,
 }
 
 /// Shared engine-driving skeleton: installs one process per party, runs
-/// `rounds`, extracts results via `extract(p, process)`. With an active
-/// `hooks` the engine is instead driven one round at a time behind a
-/// ProbeTracer, and `snapshot(engine, procs, sample)` merges protocol-level
-/// observations into the sample of the round that just ended.
+/// `rounds` through obs::drive_rounds, extracts results via
+/// `extract(p, process)`. With an active `hooks`, `snapshot(engine, procs,
+/// sample)` merges protocol-level observations into the sample of the round
+/// that just ended, and `round_name` names the driver spans (empty:
+/// "round R").
 template <typename Proc, typename MakeProc, typename Extract,
-          typename Snapshot = NoSnapshot, typename RoundName = DefaultRoundName>
+          typename Snapshot = NoSnapshot>
 void drive(std::size_t n, std::size_t t, std::size_t threads,
            std::unique_ptr<sim::Adversary> adversary, std::size_t rounds,
            MakeProc&& make_proc, Extract&& extract, std::vector<PartyId>* corrupt,
            Round* rounds_out, sim::TrafficStats* traffic,
            const obs::Hooks* hooks = nullptr, Snapshot&& snapshot = {},
-           RoundName&& round_name = {}) {
+           const obs::RoundNamer& round_name = {}) {
   sim::Engine engine(n, std::max<std::size_t>(t, 1),
                      sim::EngineOptions{threads});
   std::vector<Proc*> procs(n);
@@ -106,47 +90,9 @@ void drive(std::size_t n, std::size_t t, std::size_t threads,
   }
   if (adversary != nullptr) engine.set_adversary(std::move(adversary));
 
-  if (hooks != nullptr && hooks->active()) {
-    obs::RunReport* report = hooks->report;
-    // Tracer chain: probe -> spans -> caller's transcript tracer.
-    std::optional<obs::SpanTracer> span_tracer;
-    sim::Tracer* chained = hooks->tracer;
-    if (hooks->spans != nullptr) {
-      span_tracer.emplace(*hooks->spans, chained);
-      chained = &*span_tracer;
-    }
-    obs::ProbeTracer probe(chained);
-    engine.set_tracer(&probe);
-    obs::DriverSpans driver_spans(hooks->spans);
-    const perf::WorkerPool* pool = engine.pool();
-    perf::WorkerPool::DispatchStats pool_base;
-    if (pool != nullptr && report != nullptr) pool_base = pool->stats();
-    obs::Histogram* round_sink =
-        report == nullptr ? nullptr
-                          : &report->timing.histogram(
-                                "round_wall_ns", obs::ScopeTimer::wall_bounds());
-    obs::ScopeTimer run_timer(
-        report == nullptr ? nullptr
-                          : &report->timing.histogram(
-                                "run_wall_ns", obs::ScopeTimer::wall_bounds()));
-    for (std::size_t r = 0; r < rounds; ++r) {
-      obs::ScopeTimer round_timer(round_sink);
-      driver_spans.begin_round();
-      engine.run(static_cast<Round>(1));
-      driver_spans.end_round(round_name(static_cast<Round>(r + 1)));
-      if (report != nullptr && probe.current() != nullptr) {
-        snapshot(engine, procs, *probe.current());
-      }
-    }
-    run_timer.stop();
-    engine.set_tracer(nullptr);
-    if (report != nullptr) {
-      report->per_round = probe.take();
-      obs::fill_pool_gauges(report->timing, pool, pool_base);
-    }
-  } else {
-    engine.run(static_cast<Round>(rounds));
-  }
+  obs::drive_rounds(
+      engine, rounds, hooks,
+      [&](obs::RoundSample& s) { snapshot(engine, procs, s); }, round_name);
 
   for (PartyId p = 0; p < n; ++p) {
     if (!engine.is_corrupt(p)) extract(p, *procs[p]);
@@ -295,7 +241,7 @@ RunOutcome run_real_aa_impl(RunSpec& spec) {
         }
         if (any) s.grades = grades;
       },
-      [](Round r) { return gradecast_round_name((r - 1) / 3 + 1, r); });
+      obs::gradecast_round_name);
   if (report != nullptr) {
     const auto out = run.honest_real_outputs();
     TREEAA_CHECK(!out.empty());
@@ -349,7 +295,7 @@ RunOutcome run_iterated_real_aa_impl(RunSpec& spec) {
                             return pr.current_value();
                           });
       },
-      [](Round r) { return gradecast_round_name((r - 1) / 3 + 1, r); });
+      obs::gradecast_round_name);
   if (report != nullptr) {
     const auto out = run.honest_real_outputs();
     TREEAA_CHECK(!out.empty());
@@ -441,11 +387,9 @@ RunOutcome run_paths_finder_impl(RunSpec& spec) {
             });
         s.detected_faulty = honest_max_detected(engine, procs);
       },
-      [&](Round r) {
-        return opts.engine == core::RealEngineKind::kGradecastBdh
-                   ? gradecast_round_name((r - 1) / 3 + 1, r)
-                   : DefaultRoundName{}(r);
-      });
+      opts.engine == core::RealEngineKind::kGradecastBdh
+          ? obs::RoundNamer(obs::gradecast_round_name)
+          : obs::RoundNamer());
   if (report != nullptr) {
     const auto& hist = report->metrics.histogram("path_length");
     report->add_outcome("path_length_min", hist.min());

@@ -19,6 +19,10 @@
 // make_adversary(AdversaryPlan) routes through that spec, so the five named
 // kinds are fixed points of the spec space — not a parallel code path.
 //
+// Each synchronous entry builds its engine and processes and hands the
+// rounds to obs::drive_rounds (obs/probe.h), the one observed-run driver;
+// TreeAA and BlockAA share core::detail::run_tree_aa_over on top of it.
+//
 // validate()/validate_axes() are the one shared precondition checker: every
 // front end (CLI, sweep expansion, serve admission) maps the typed SpecError
 // codes to its own wire strings instead of re-implementing the checks.

@@ -10,8 +10,8 @@ namespace treeaa::harness {
 // The runners below are thin adapters over the protocol registry: each one
 // packs its typed arguments into a RunSpec, dispatches through
 // run_protocol(), and unpacks the uniform RunOutcome into its historical
-// result struct. All engine wiring, round driving, and report population
-// lives in registry.cpp.
+// result struct. Engine wiring and report population live in registry.cpp
+// (TreeAA and BlockAA in core/api.cpp); round driving is obs::drive_rounds.
 
 std::vector<double> RealRun::honest_outputs() const {
   std::vector<double> out;

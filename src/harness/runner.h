@@ -29,15 +29,16 @@
 
 namespace treeaa::harness {
 
-// Every synchronous runner takes an optional trailing `hooks` pointer and
-// a `threads` count for the engine's intra-run worker lanes (1 = serial,
-// 0 = hardware; results are byte-identical at any value).
-// (obs::Hooks). With a report sink attached the engine is driven round by
-// round and the report receives the protocol's per-round series (value
-// diameters, detections, gradecast grade distributions where the protocol
-// exposes them), traffic totals, and wall-clock timing; a tracer sink
-// receives the full event stream. A null/inactive hooks keeps the exact
-// pre-observability path: one engine.run(), no tracer, no clock reads.
+// Every synchronous runner takes an optional trailing `hooks` pointer
+// (obs::Hooks) and a `threads` count for the engine's intra-run worker
+// lanes (1 = serial, 0 = hardware; results are byte-identical at any
+// value). Rounds are driven by obs::drive_rounds (obs/probe.h): with a
+// report sink attached the engine runs round by round and the report
+// receives the protocol's per-round series (value diameters, detections,
+// gradecast grade distributions where the protocol exposes them), traffic
+// totals, and wall-clock timing; a tracer sink receives the full event
+// stream. A null/inactive hooks keeps the plain path: one engine.run(), no
+// tracer, no clock reads.
 
 /// Result of a real-valued AA run (RealAA or the iterated baseline).
 struct RealRun {

@@ -122,112 +122,4 @@ void JsonWriter::raw(std::string_view fragment) {
   out_ += fragment;
 }
 
-namespace {
-
-void skip_ws(std::string_view s, std::size_t& i) {
-  while (i < s.size() && (s[i] == ' ' || s[i] == '\t' || s[i] == '\n' ||
-                          s[i] == '\r')) {
-    ++i;
-  }
-}
-
-/// Parses a JSON string starting at the opening quote; returns the
-/// unescaped content and advances past the closing quote.
-std::optional<std::string> parse_string(std::string_view s, std::size_t& i) {
-  if (i >= s.size() || s[i] != '"') return std::nullopt;
-  ++i;
-  std::string out;
-  while (i < s.size() && s[i] != '"') {
-    if (s[i] == '\\') {
-      if (i + 1 >= s.size()) return std::nullopt;
-      switch (s[i + 1]) {
-        case '"': out += '"'; break;
-        case '\\': out += '\\'; break;
-        case '/': out += '/'; break;
-        case 'n': out += '\n'; break;
-        case 'r': out += '\r'; break;
-        case 't': out += '\t'; break;
-        case 'u': {
-          if (i + 5 >= s.size()) return std::nullopt;
-          unsigned code = 0;
-          const auto* first = s.data() + i + 2;
-          const auto res = std::from_chars(first, first + 4, code, 16);
-          if (res.ec != std::errc() || res.ptr != first + 4) {
-            return std::nullopt;
-          }
-          // The trace format only escapes ASCII control characters.
-          if (code > 0x7F) return std::nullopt;
-          out += static_cast<char>(code);
-          i += 4;
-          break;
-        }
-        default: return std::nullopt;
-      }
-      i += 2;
-    } else {
-      out += s[i];
-      ++i;
-    }
-  }
-  if (i >= s.size()) return std::nullopt;
-  ++i;  // closing quote
-  return out;
-}
-
-}  // namespace
-
-std::optional<std::vector<std::pair<std::string, std::string>>>
-parse_flat_json_object(std::string_view s) {
-  std::size_t i = 0;
-  skip_ws(s, i);
-  if (i >= s.size() || s[i] != '{') return std::nullopt;
-  ++i;
-  std::vector<std::pair<std::string, std::string>> out;
-  skip_ws(s, i);
-  if (i < s.size() && s[i] == '}') {
-    ++i;
-    skip_ws(s, i);
-    return i == s.size() ? std::optional(out) : std::nullopt;
-  }
-  while (true) {
-    skip_ws(s, i);
-    auto k = parse_string(s, i);
-    if (!k.has_value()) return std::nullopt;
-    skip_ws(s, i);
-    if (i >= s.size() || s[i] != ':') return std::nullopt;
-    ++i;
-    skip_ws(s, i);
-    if (i >= s.size()) return std::nullopt;
-    std::string v;
-    if (s[i] == '"') {
-      auto sv = parse_string(s, i);
-      if (!sv.has_value()) return std::nullopt;
-      v = std::move(*sv);
-    } else if (s[i] == '{' || s[i] == '[') {
-      return std::nullopt;  // flat objects only
-    } else {
-      const std::size_t start = i;
-      while (i < s.size() && s[i] != ',' && s[i] != '}' && s[i] != ' ' &&
-             s[i] != '\t' && s[i] != '\n' && s[i] != '\r') {
-        ++i;
-      }
-      v = std::string(s.substr(start, i - start));
-      if (v.empty()) return std::nullopt;
-    }
-    out.emplace_back(std::move(*k), std::move(v));
-    skip_ws(s, i);
-    if (i >= s.size()) return std::nullopt;
-    if (s[i] == ',') {
-      ++i;
-      continue;
-    }
-    if (s[i] == '}') {
-      ++i;
-      skip_ws(s, i);
-      return i == s.size() ? std::optional(out) : std::nullopt;
-    }
-    return std::nullopt;
-  }
-}
-
 }  // namespace treeaa::obs

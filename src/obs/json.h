@@ -1,5 +1,5 @@
-// Minimal, dependency-free JSON emission (and a small flat-object reader
-// for round-tripping in tests and external tooling).
+// Minimal, dependency-free JSON emission. Reading goes through the one
+// document reader, treeaa::JsonValue (common/json_value.h).
 //
 // The observability subsystem serializes run reports, metric snapshots and
 // structured traces; everything it writes must be byte-reproducible across
@@ -9,10 +9,8 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <string>
 #include <string_view>
-#include <utility>
 #include <vector>
 
 namespace treeaa::obs {
@@ -62,14 +60,5 @@ class JsonWriter {
   std::vector<bool> comma_;  // per nesting level: "needs a comma before next"
   bool after_key_ = false;
 };
-
-/// Parses a *flat* JSON object — string/number/bool/null values only, no
-/// nesting — into (key, raw-token) pairs in document order. String values
-/// are unescaped; other values keep their literal spelling. Returns
-/// std::nullopt on malformed input or nested containers. This is the
-/// round-trip counterpart of the JSONL trace format, whose event lines are
-/// all flat objects.
-[[nodiscard]] std::optional<std::vector<std::pair<std::string, std::string>>>
-parse_flat_json_object(std::string_view s);
 
 }  // namespace treeaa::obs

@@ -1,5 +1,10 @@
 #include "obs/probe.h"
 
+#include <optional>
+
+#include "obs/span.h"
+#include "sim/engine.h"
+
 namespace treeaa::obs {
 
 void ProbeTracer::on_round_begin(Round r) {
@@ -56,6 +61,58 @@ void ProbeTracer::on_party_end(PartyId p, Round r, sim::Phase phase,
 
 void ProbeTracer::on_delivered(const sim::Envelope& e) {
   if (downstream_ != nullptr) downstream_->on_delivered(e);
+}
+
+void drive_rounds(sim::Engine& engine, std::size_t rounds, const Hooks* hooks,
+                  const RoundSnapshot& snapshot, const RoundNamer& round_name) {
+  if (hooks == nullptr || !hooks->active()) {
+    engine.run(static_cast<Round>(rounds));
+    return;
+  }
+  RunReport* report = hooks->report;
+  std::optional<SpanTracer> span_tracer;
+  sim::Tracer* chained = hooks->tracer;
+  if (hooks->spans != nullptr) {
+    span_tracer.emplace(*hooks->spans, chained);
+    chained = &*span_tracer;
+  }
+  ProbeTracer probe(chained);
+  engine.set_tracer(&probe);
+  DriverSpans driver_spans(hooks->spans);
+  const perf::WorkerPool* pool = engine.pool();
+  perf::WorkerPool::DispatchStats pool_base;
+  if (pool != nullptr && report != nullptr) pool_base = pool->stats();
+  Histogram* round_sink =
+      report == nullptr ? nullptr
+                        : &report->timing.histogram(
+                              "round_wall_ns", ScopeTimer::wall_bounds());
+  ScopeTimer run_timer(report == nullptr
+                           ? nullptr
+                           : &report->timing.histogram(
+                                 "run_wall_ns", ScopeTimer::wall_bounds()));
+  for (std::size_t r = 1; r <= rounds; ++r) {
+    ScopeTimer round_timer(round_sink);
+    driver_spans.begin_round();
+    engine.run(static_cast<Round>(1));
+    const auto round = static_cast<Round>(r);
+    driver_spans.end_round(round_name ? round_name(round)
+                                      : "round " + std::to_string(round));
+    if (snapshot && report != nullptr && probe.current() != nullptr) {
+      snapshot(*probe.current());
+    }
+  }
+  run_timer.stop();
+  engine.set_tracer(nullptr);
+  if (report != nullptr) {
+    report->per_round = probe.take();
+    fill_pool_gauges(report->timing, pool, pool_base);
+  }
+}
+
+std::string gradecast_round_name(Round r) {
+  static constexpr const char* kStep[3] = {"leader", "echo", "support"};
+  return "iter " + std::to_string((r - 1) / 3 + 1) + " \xc2\xb7 " +
+         kStep[(r - 1) % 3];
 }
 
 namespace {

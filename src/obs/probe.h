@@ -1,19 +1,28 @@
-// Protocol probes over the synchronous engine's tracer interface.
+// Protocol probes over the synchronous engine's tracer interface, and the
+// one observed-run driver built on them.
 //
 // ProbeTracer turns the raw event stream (queued messages, corruptions,
-// round boundaries) into the per-round RoundSample series of a RunReport;
-// the harness drivers then merge protocol-level observations (value
-// diameter, hull size, detections, grade distributions) into the current
-// sample after each engine round. JsonlTracer is the structured sibling of
-// sim::RecordingTracer: one flat JSON object per event, newline-delimited,
-// so transcripts can be consumed by tools without a bespoke parser.
+// round boundaries) into the per-round RoundSample series of a RunReport.
+// drive_rounds is the single place a synchronous run is driven under
+// observability hooks: it chains the probe, the span tracer and the
+// caller's tracer, times rounds, names driver spans, and lets the protocol
+// runner merge its own observations (value diameter, hull size, detections,
+// grade distributions) into the current sample after each engine round.
+// JsonlTracer is the structured sibling of sim::RecordingTracer: one flat
+// JSON object per event, newline-delimited, so transcripts can be consumed
+// by tools without a bespoke parser.
 #pragma once
 
+#include <functional>
 #include <string>
 #include <vector>
 
 #include "obs/report.h"
 #include "sim/trace.h"
+
+namespace treeaa::sim {
+class Engine;
+}
 
 namespace treeaa::obs {
 
@@ -67,7 +76,7 @@ class ProbeTracer final : public sim::Tracer {
 ///   {"ev":"corrupt","round":R,"party":P}
 ///   {"ev":"deliver","round":R}
 /// With payloads enabled, send/byz lines gain "payload":"<hex>". Every line
-/// is a flat object, round-trippable via obs::parse_flat_json_object.
+/// is an object of scalars, readable with JsonValue::parse.
 class JsonlTracer final : public sim::Tracer {
  public:
   explicit JsonlTracer(bool payloads = false) : payloads_(payloads) {}
@@ -94,5 +103,29 @@ class JsonlTracer final : public sim::Tracer {
   std::size_t messages_ = 0;
   Round round_ = 0;  // round currently in flight
 };
+
+/// Merges protocol-level observations into the sample of the round that
+/// just ended (the engine-level fields are already filled by the probe).
+using RoundSnapshot = std::function<void(RoundSample&)>;
+/// Names the "engine/driver" span of round `r` (1-based).
+using RoundNamer = std::function<std::string(Round)>;
+
+/// Runs `engine` for `rounds` synchronous rounds under `hooks`. Inactive
+/// hooks (null, or no sink attached) take the plain fast path: one
+/// engine.run(rounds), no tracer, no clock reads. Otherwise the engine runs
+/// one round at a time behind the tracer chain probe -> SpanTracer ->
+/// hooks->tracer; each round gets a driver span named by `round_name`
+/// (empty: "round R") and, with a report sink, a round_wall_ns sample and
+/// a `snapshot` call. The run ends with run_wall_ns, the per-round series
+/// moved into report->per_round, and the pool_* gauges. Params, totals and
+/// outcomes stay with the caller.
+void drive_rounds(sim::Engine& engine, std::size_t rounds, const Hooks* hooks,
+                  const RoundSnapshot& snapshot = {},
+                  const RoundNamer& round_name = {});
+
+/// "iter K · leader|echo|support": the driver-span name of sub-round `r`
+/// (1-based) of back-to-back gradecast batches, three sub-rounds per
+/// iteration (src/gradecast/wire.h).
+[[nodiscard]] std::string gradecast_round_name(Round r);
 
 }  // namespace treeaa::obs

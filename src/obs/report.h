@@ -131,16 +131,13 @@ struct Hooks {
   RunReport* report = nullptr;
   /// Receives every engine event (transcripts; chained after the probes).
   sim::Tracer* tracer = nullptr;
-  /// External metrics sink shared across runs (aggregate experiments).
-  Registry* registry = nullptr;
   /// Timeline sink for causal spans and flow edges (Perfetto export). Span
   /// files carry wall-clock timestamps and are opt-in like `timing`;
   /// attaching one never changes report or transcript bytes.
   SpanSink* spans = nullptr;
 
   [[nodiscard]] bool active() const {
-    return report != nullptr || tracer != nullptr || registry != nullptr ||
-           spans != nullptr;
+    return report != nullptr || tracer != nullptr || spans != nullptr;
   }
 };
 

@@ -98,9 +98,9 @@ class SpanSink {
   std::size_t flows_ = 0;
 };
 
-/// Used by the engine drivers (harness::drive, core::run_tree_aa) to wrap
-/// each engine.run(1) call in a named span on the "engine/driver" track —
-/// protocol-aware round names ("iter 2 · echo", "round 7") land here.
+/// Used by the one observed-run driver, obs::drive_rounds (obs/probe.h), to
+/// wrap each engine.run(1) call in a named span on the "engine/driver"
+/// track — protocol-aware round names ("iter 2 · echo", "round 7") land here.
 /// Inactive (no clock reads) when constructed with a null sink.
 class DriverSpans {
  public:

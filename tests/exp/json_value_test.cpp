@@ -1,8 +1,14 @@
-// The sweep-spec JSON reader: accepted documents, rejected garbage, and the
-// document-order guarantees the spec layer relies on.
+// The repository's JSON reader: accepted documents, rejected garbage, the
+// document-order guarantees the spec layer relies on, and round trips of
+// obs::JsonWriter output.
 #include "common/json_value.h"
 
 #include <gtest/gtest.h>
+
+#include <cstdint>
+#include <string>
+
+#include "obs/json.h"
 
 namespace treeaa::exp {
 namespace {
@@ -79,6 +85,34 @@ TEST(JsonValue, RoundTripsSweepSpecShape) {
   EXPECT_EQ(scenarios[0].find("t")->as_string(), "max");
   EXPECT_DOUBLE_EQ(
       scenarios[0].find("tree")->find("sizes")->items()[0].as_number(), 20.0);
+}
+
+TEST(JsonValue, RoundTripsJsonWriterOutput) {
+  std::string out;
+  obs::JsonWriter w(out);
+  w.begin_object();
+  w.key("ev");
+  w.value("send");
+  w.key("round");
+  w.value(std::uint64_t{3});
+  w.key("ok");
+  w.value(false);
+  w.key("x");
+  w.null();
+  w.key("s");
+  w.value("a\"b\n");
+  w.end_object();
+
+  const auto v = JsonValue::parse(out);
+  ASSERT_TRUE(v.has_value());
+  const auto& members = v->members();
+  ASSERT_EQ(members.size(), 5u);
+  EXPECT_EQ(members[0].first, "ev");
+  EXPECT_EQ(members[0].second.as_string(), "send");
+  EXPECT_DOUBLE_EQ(members[1].second.as_number(), 3.0);
+  EXPECT_FALSE(members[2].second.as_bool());
+  EXPECT_TRUE(members[3].second.is_null());
+  EXPECT_EQ(members[4].second.as_string(), "a\"b\n");
 }
 
 }  // namespace

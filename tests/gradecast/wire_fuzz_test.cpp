@@ -99,10 +99,10 @@ TEST(GradecastWireFuzz, RandomGarbageNeverDecodesSlotsDangerously) {
 }
 
 TEST(GradecastWireFuzz, SlotsEncodingGoldenBytes) {
-  // Pins the wire layout the batched SIMD encoder must reproduce: tag u8,
-  // varint slot count, then per slot a presence u8 followed (when present)
-  // by varint length + bytes. A dispatch-level change that altered any of
-  // these bytes would break mixed-version deployments.
+  // Pins the slot wire layout: tag u8, varint slot count, then per slot a
+  // presence u8 followed (when present) by varint length + bytes. An
+  // encoder change that altered any of these bytes would break
+  // mixed-version deployments.
   std::vector<Slot> slots(3);
   slots[0] = Bytes{0xAA, 0xBB};
   slots[2] = Bytes{};  // present but empty — distinct from absent

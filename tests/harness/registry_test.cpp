@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <string>
 #include <tuple>
 #include <utility>
@@ -268,6 +269,87 @@ TEST(RegistryTest, ThreadsNeverChangeOutcomeOrReport) {
       EXPECT_FALSE(std::get<0>(base).empty());
       EXPECT_EQ(run_at(2), base);
       EXPECT_EQ(run_at(8), base);
+    }
+  }
+}
+
+/// FNV-1a 64 over a string: a compact witness for pinning report bytes.
+std::uint64_t fnv1a64(const std::string& s) {
+  std::uint64_t h = 14695981039346656037ull;
+  for (const char c : s) {
+    h ^= static_cast<std::uint8_t>(c);
+    h *= 1099511628211ull;
+  }
+  return h;
+}
+
+/// Pins the canonical report bytes of every synchronous protocol across
+/// commits, not just across thread counts: one fixed spec per protocol
+/// (fixed tree or block graph, fuzz adversary with a fixed seed), and the
+/// FNV-1a 64 of report.to_json(false) plus the total message count. A
+/// refactor of the observed-run driver must leave both untouched; a change
+/// that alters them on purpose re-records the table and says why.
+TEST(RegistryTest, ReportBytesGolden) {
+  struct Golden {
+    harness::ProtocolKind protocol;
+    std::uint64_t report_hash;
+    std::uint64_t messages;
+  };
+  const Golden kGolden[] = {
+      {harness::ProtocolKind::kTreeAA, 0xbc88d04ad8427a51ull, 918},
+      {harness::ProtocolKind::kIteratedTreeAA, 0x7f3e67fa21c1ffbeull, 765},
+      {harness::ProtocolKind::kRealAA, 0x0511c847fde47c93ull, 612},
+      {harness::ProtocolKind::kIteratedRealAA, 0xe58c228b72633781ull, 1224},
+      {harness::ProtocolKind::kPathAA, 0xf9134f8c2e767344ull, 459},
+      {harness::ProtocolKind::kPathsFinder, 0x1dced67c4e6072a6ull, 459},
+      {harness::ProtocolKind::kBlockAA, 0x9baf1db48ab45bafull, 918},
+  };
+  const auto spider = make_spider(3, 3);
+  const auto path = make_path(9);
+  const graphs::BlockIndex block_index(graphs::make_clique_chain(10, 4));
+  const std::size_t n = 7, t = 2;
+
+  for (const Golden& g : kGolden) {
+    // Four engine lanes put the observed path on a worker pool (and its
+    // pool_* gauges); the canonical bytes must not notice.
+    for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+      SCOPED_TRACE(std::string(harness::protocol_name(g.protocol)) + " at " +
+                   std::to_string(threads) + " thread(s)");
+      obs::RunReport report;
+      obs::Hooks hooks;
+      hooks.report = &report;
+      harness::RunSpec spec;
+      spec.protocol = g.protocol;
+      spec.n = n;
+      spec.t = t;
+      spec.threads = threads;
+      spec.hooks = &hooks;
+      if (harness::is_graph_protocol(g.protocol)) {
+        spec.block_index = &block_index;
+        const auto [end_a, end_b] = block_index.diameter_endpoints();
+        for (std::size_t q = 0; q < n; ++q) {
+          spec.vertex_inputs.push_back(q % 2 == 0 ? end_a : end_b);
+        }
+      } else if (harness::is_vertex_protocol(g.protocol)) {
+        const LabeledTree& tree =
+            g.protocol == harness::ProtocolKind::kPathAA ? path : spider;
+        spec.tree = &tree;
+        spec.vertex_inputs = harness::spread_vertex_inputs(tree, n);
+      } else {
+        spec.eps = 0.5;
+        spec.known_range = 100.0;
+        spec.real_inputs = harness::spread_real_inputs(n, 0.0, 100.0);
+      }
+      harness::AdversaryPlan plan;
+      plan.kind = harness::AdversaryKind::kFuzz;
+      plan.victims = {1, 4};
+      plan.fuzz_seed = 77;
+      spec.adversary = harness::make_adversary(plan);
+
+      const auto out = harness::run_protocol(std::move(spec));
+      const std::string json = report.to_json(/*include_timings=*/false);
+      EXPECT_EQ(fnv1a64(json), g.report_hash) << json;
+      EXPECT_EQ(out.traffic.total_messages(), g.messages);
     }
   }
 }

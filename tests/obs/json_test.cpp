@@ -1,6 +1,5 @@
-// JSON emission: escaping, deterministic number formatting, the streaming
-// writer's comma placement, and the flat-object reader that round-trips
-// JSONL trace lines.
+// JSON emission: escaping, deterministic number formatting, and the
+// streaming writer's comma placement.
 #include "obs/json.h"
 
 #include <gtest/gtest.h>
@@ -65,43 +64,6 @@ TEST(JsonWriter, RawFragmentsPlaceCommasLikeValues) {
   w.raw("\"x\"");
   w.end_object();
   EXPECT_EQ(out, "{\"a\":[1,2],\"b\":\"x\"}");
-}
-
-TEST(ParseFlatJsonObject, RoundTripsWriterOutput) {
-  std::string out;
-  JsonWriter w(out);
-  w.begin_object();
-  w.key("ev");
-  w.value("send");
-  w.key("round");
-  w.value(std::uint64_t{3});
-  w.key("ok");
-  w.value(false);
-  w.key("x");
-  w.null();
-  w.end_object();
-
-  const auto parsed = parse_flat_json_object(out);
-  ASSERT_TRUE(parsed.has_value());
-  ASSERT_EQ(parsed->size(), 4u);
-  EXPECT_EQ((*parsed)[0], (std::pair<std::string, std::string>{"ev", "send"}));
-  EXPECT_EQ((*parsed)[1].second, "3");
-  EXPECT_EQ((*parsed)[2].second, "false");
-  EXPECT_EQ((*parsed)[3].second, "null");
-}
-
-TEST(ParseFlatJsonObject, UnescapesStrings) {
-  const auto parsed = parse_flat_json_object("{\"k\":\"a\\\"b\\n\"}");
-  ASSERT_TRUE(parsed.has_value());
-  EXPECT_EQ((*parsed)[0].second, "a\"b\n");
-}
-
-TEST(ParseFlatJsonObject, RejectsNestingAndGarbage) {
-  EXPECT_FALSE(parse_flat_json_object("{\"k\":{}}").has_value());
-  EXPECT_FALSE(parse_flat_json_object("{\"k\":[1]}").has_value());
-  EXPECT_FALSE(parse_flat_json_object("not json").has_value());
-  EXPECT_FALSE(parse_flat_json_object("{\"k\":1,}").has_value());
-  EXPECT_FALSE(parse_flat_json_object("{\"k\":1} extra").has_value());
 }
 
 }  // namespace

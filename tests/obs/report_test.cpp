@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <string>
 
+#include "common/json_value.h"
 #include "core/api.h"
 #include "harness/runner.h"
 #include "obs/json.h"
@@ -204,11 +205,15 @@ TEST(JsonlTrace, EveryLineParsesAndCountsMatchTraffic) {
   std::uint64_t sends = 0;
   std::uint64_t byz = 0;
   for (const std::string& line : tracer.lines()) {
-    const auto parsed = parse_flat_json_object(line);
+    const auto parsed = treeaa::JsonValue::parse(line);
     ASSERT_TRUE(parsed.has_value()) << line;
-    ASSERT_FALSE(parsed->empty());
-    EXPECT_EQ((*parsed)[0].first, "ev");
-    const std::string& ev = (*parsed)[0].second;
+    ASSERT_TRUE(parsed->is_object()) << line;
+    ASSERT_FALSE(parsed->members().empty());
+    for (const auto& [key, value] : parsed->members()) {
+      EXPECT_FALSE(value.is_array() || value.is_object()) << line;
+    }
+    EXPECT_EQ(parsed->members()[0].first, "ev");
+    const std::string& ev = parsed->members()[0].second.as_string();
     if (ev == "send") ++sends;
     if (ev == "byz") ++byz;
   }

@@ -5,11 +5,17 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/api.h"
 #include "common/json_value.h"
+#include "graphs/block_aa.h"
+#include "graphs/block_index.h"
+#include "graphs/graph.h"
+#include "harness/registry.h"
 #include "harness/runner.h"
 #include "obs/report.h"
 #include "trees/generators.h"
@@ -173,6 +179,101 @@ TEST(SpanTracer, AttachingSpansNeverChangesReportBytes) {
   EXPECT_GT(sink.span_count(), 0u);
   // The canonical (timings-off) serialization must be byte-identical.
   EXPECT_EQ(plain.to_json(false), traced.to_json(false));
+}
+
+/// The names of the "engine/driver" spans in `sink`, in record order, read
+/// back through the exported Chrome JSON.
+std::vector<std::string> driver_span_names(const SpanSink& sink) {
+  const auto doc = treeaa::JsonValue::parse(sink.to_chrome_json());
+  EXPECT_TRUE(doc.has_value());
+  if (!doc.has_value()) return {};
+  const auto& events = doc->find("traceEvents")->items();
+  double pid = -1.0;
+  for (const treeaa::JsonValue& e : events) {
+    if (e.find("name")->as_string() == "process_name" &&
+        e.find("args")->find("name")->as_string() == "engine") {
+      pid = e.find("pid")->as_number();
+    }
+  }
+  double tid = -1.0;
+  for (const treeaa::JsonValue& e : events) {
+    if (e.find("name")->as_string() == "thread_name" &&
+        e.find("pid")->as_number() == pid &&
+        e.find("args")->find("name")->as_string() == "driver") {
+      tid = e.find("tid")->as_number();
+    }
+  }
+  std::vector<std::string> names;
+  for (const treeaa::JsonValue& e : events) {
+    if (e.find("ph")->as_string() == "X" &&
+        e.find("pid")->as_number() == pid &&
+        e.find("tid")->as_number() == tid) {
+      names.push_back(e.find("name")->as_string());
+    }
+  }
+  return names;
+}
+
+/// Driver spans of one registry protocol run on `tree` (n = 7, t = 2).
+std::vector<std::string> registry_driver_names(harness::ProtocolKind p,
+                                               const LabeledTree& tree) {
+  SpanSink sink;
+  Hooks hooks;
+  hooks.spans = &sink;
+  harness::RunSpec spec;
+  spec.protocol = p;
+  spec.n = 7;
+  spec.t = 2;
+  spec.hooks = &hooks;
+  if (harness::is_vertex_protocol(p)) {
+    spec.tree = &tree;
+    spec.vertex_inputs = harness::spread_vertex_inputs(tree, spec.n);
+  } else {
+    spec.eps = 0.5;
+    spec.known_range = 100.0;
+    spec.real_inputs = harness::spread_real_inputs(spec.n, 0.0, 100.0);
+  }
+  (void)harness::run_protocol(std::move(spec));
+  return driver_span_names(sink);
+}
+
+/// Pins the protocol-aware round names on the "engine/driver" track: TreeAA
+/// names its phase-1 flooding rounds and its phase-2 gradecast sub-rounds,
+/// BlockAA on a tree names them exactly like TreeAA, RealAA names gradecast
+/// sub-rounds, and protocols without a namer fall back to "round R".
+TEST(DriverSpans, ProtocolRoundNames) {
+  const auto tree = make_spider(3, 3);
+  const auto inputs = harness::spread_vertex_inputs(tree, 7);
+
+  SpanSink tree_sink;
+  Hooks tree_hooks;
+  tree_hooks.spans = &tree_sink;
+  const auto run = core::run_tree_aa(tree, inputs, 2, {}, nullptr, &tree_hooks);
+  const auto tree_names = driver_span_names(tree_sink);
+  ASSERT_EQ(tree_names.size(), run.rounds);
+  EXPECT_EQ(tree_names.front(), "phase1 \xc2\xb7 round 1");
+  EXPECT_NE(std::find(tree_names.begin(), tree_names.end(),
+                      "phase2 \xc2\xb7 iter 1 \xc2\xb7 leader"),
+            tree_names.end());
+
+  const graphs::BlockIndex index(graphs::graph_from_tree(tree));
+  SpanSink block_sink;
+  Hooks block_hooks;
+  block_hooks.spans = &block_sink;
+  (void)graphs::run_block_aa(index, inputs, 2, {}, nullptr, &block_hooks);
+  EXPECT_EQ(driver_span_names(block_sink), tree_names);
+
+  const auto real_names =
+      registry_driver_names(harness::ProtocolKind::kRealAA, tree);
+  ASSERT_GE(real_names.size(), 3u);
+  EXPECT_EQ(real_names[0], "iter 1 \xc2\xb7 leader");
+  EXPECT_EQ(real_names[1], "iter 1 \xc2\xb7 echo");
+  EXPECT_EQ(real_names[2], "iter 1 \xc2\xb7 support");
+
+  const auto iterated_names =
+      registry_driver_names(harness::ProtocolKind::kIteratedTreeAA, tree);
+  ASSERT_FALSE(iterated_names.empty());
+  EXPECT_EQ(iterated_names.front(), "round 1");
 }
 
 }  // namespace

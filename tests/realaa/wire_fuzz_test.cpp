@@ -35,8 +35,8 @@ TEST(RealAAWireFuzz, RoundTripsFiniteValues) {
 }
 
 TEST(RealAAWireFuzz, EncodingGoldenBytes) {
-  // Pins the little-endian IEEE-754 layout the SIMD store path must
-  // reproduce bit for bit across dispatch levels.
+  // Pins the little-endian IEEE-754 layout of an encoded value, bit for
+  // bit.
   EXPECT_EQ(encode_value(1.0), (Bytes{0, 0, 0, 0, 0, 0, 0xF0, 0x3F}));
   EXPECT_EQ(encode_value(-2.0), (Bytes{0, 0, 0, 0, 0, 0, 0x00, 0xC0}));
   EXPECT_EQ(encode_value(0.0), (Bytes{0, 0, 0, 0, 0, 0, 0, 0}));

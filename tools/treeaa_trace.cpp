@@ -24,6 +24,7 @@
 //
 // Exit status: 0 when every check passed, 1 on any bound violation (the
 // mislabeled-trace oracle), 2 on usage or input errors.
+#include <algorithm>
 #include <cstdint>
 #include <fstream>
 #include <iostream>
@@ -35,7 +36,6 @@
 #include "common_flags.h"
 #include "common/json_value.h"
 #include "exp/ledger.h"
-#include "obs/json.h"
 #include "obs/sink.h"
 
 namespace {
@@ -111,7 +111,7 @@ exp::TraceStats span_stats(const std::string& text, exp::TraceStats stats) {
 }
 
 /// Counts transcript lines and send/byz events of a "treeaa.trace/1" JSONL
-/// transcript; every line must round-trip through the flat-object parser.
+/// transcript; every line must be a flat JSON object (scalar members only).
 exp::TraceStats transcript_stats(const std::string& text,
                                  exp::TraceStats stats) {
   std::uint64_t events = 0;
@@ -120,14 +120,22 @@ exp::TraceStats transcript_stats(const std::string& text,
   std::string line;
   while (std::getline(in, line)) {
     if (line.empty()) continue;
-    const auto fields = obs::parse_flat_json_object(line);
-    if (!fields.has_value()) {
+    const auto doc = treeaa::JsonValue::parse(line);
+    const bool flat =
+        doc.has_value() && doc->is_object() &&
+        std::none_of(doc->members().begin(), doc->members().end(),
+                     [](const auto& m) {
+                       return m.second.is_array() || m.second.is_object();
+                     });
+    if (!flat) {
       usage("--transcript line " + std::to_string(events + 1) +
             " is not a flat JSON object");
     }
     ++events;
-    for (const auto& [key, value] : *fields) {
-      if (key == "ev" && (value == "send" || value == "byz")) ++messages;
+    const treeaa::JsonValue* ev = doc->find("ev");
+    if (ev != nullptr && ev->is_string() &&
+        (ev->as_string() == "send" || ev->as_string() == "byz")) {
+      ++messages;
     }
   }
   stats.transcript_events = events;
