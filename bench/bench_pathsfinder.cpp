@@ -15,10 +15,10 @@
 #include "common/table.h"
 #include "core/paths_finder.h"
 #include "harness/runner.h"
+#include "perf/tree_index.h"
 #include "realaa/adversaries.h"
 #include "realaa/rounds.h"
 #include "trees/generators.h"
-#include "trees/paths.h"
 
 namespace {
 
@@ -92,10 +92,11 @@ void table_e5b() {
           honest_inputs.push_back(inputs[p]);
         }
       }
+      const perf::TreeIndex index(tree);
       for (const auto& p : paths) {
         const bool hits = std::any_of(
             p.begin(), p.end(),
-            [&](VertexId v) { return in_hull(tree, honest_inputs, v); });
+            [&](VertexId v) { return index.in_hull(honest_inputs, v); });
         if (!hits) ++violations;
       }
     }

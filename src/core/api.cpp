@@ -23,7 +23,7 @@ namespace {
 /// Merges the honest parties' current TreeAA state into the sample of the
 /// round that just ended: hull size and tree diameter of the estimate set,
 /// plus the max proven-Byzantine count. Distances go through the run's
-/// TreeIndex (O(1) per pair); the values are identical to tree.distance.
+/// TreeIndex (O(1) per pair).
 void snapshot_tree_aa(const perf::TreeIndex& index, const sim::Engine& engine,
                       const std::vector<TreeAAProcess*>& procs,
                       obs::RoundSample& s) {

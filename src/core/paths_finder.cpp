@@ -29,49 +29,41 @@ realaa::Config paths_finder_config(const LabeledTree& tree, std::size_t n,
 
 namespace {
 
-std::size_t chosen_index(const EulerList& euler, VertexId input,
+/// The Euler index this party feeds into RealAA. Validates `input` first:
+/// the member-init list reads the Euler list through it.
+std::size_t chosen_index(const perf::TreeIndex& index, VertexId input,
                          EulerIndexChoice choice) {
+  index.tree().require_vertex(input);
   return choice == EulerIndexChoice::kMinOccurrence
-             ? euler.first_occurrence(input)
-             : euler.last_occurrence(input);
+             ? index.euler().first_occurrence(input)
+             : index.euler().last_occurrence(input);
 }
 
 }  // namespace
-
-PathsFinderProcess::PathsFinderProcess(const LabeledTree& tree,
-                                       const EulerList& euler, std::size_t n,
-                                       std::size_t t, PartyId self,
-                                       VertexId input,
-                                       PathsFinderOptions opts)
-    : tree_(tree),
-      euler_(euler),
-      real_(make_real_engine(
-          opts.engine_config(), n, t, paths_finder_range(tree), 1.0, self,
-          static_cast<double>(
-              chosen_index(euler, input, opts.index_choice)))) {
-  tree_.require_vertex(input);
-  if (real_->output().has_value()) {
-    // 0-iteration configuration (single-vertex tree): the path is the root.
-    path_ = tree_.path(tree_.root(), input);
-  }
-}
 
 PathsFinderProcess::PathsFinderProcess(const perf::TreeIndex& index,
                                        std::size_t n, std::size_t t,
                                        PartyId self, VertexId input,
                                        PathsFinderOptions opts)
-    : PathsFinderProcess(index.tree(), index.euler(), n, t, self, input,
-                         opts) {
-  index_ = &index;
+    : index_(index),
+      real_(make_real_engine(
+          opts.engine_config(), n, t, paths_finder_range(index.tree()), 1.0,
+          self,
+          static_cast<double>(
+              chosen_index(index, input, opts.index_choice)))) {
+  if (real_->output().has_value()) {
+    // 0-iteration configuration (single-vertex tree): the path is the root.
+    path_ = index_.root_path(input);
+  }
 }
 
 VertexId PathsFinderProcess::current_vertex() const {
   const double j = current_index();
-  if (std::isnan(j)) return tree_.root();
-  const std::int64_t idx =
-      std::clamp<std::int64_t>(closest_int(j), 1,
-                               static_cast<std::int64_t>(euler_.size()));
-  return euler_.at(static_cast<std::size_t>(idx));
+  if (std::isnan(j)) return index_.root();
+  const EulerList& euler = index_.euler();
+  const std::int64_t idx = std::clamp<std::int64_t>(
+      closest_int(j), 1, static_cast<std::int64_t>(euler.size()));
+  return euler.at(static_cast<std::size_t>(idx));
 }
 
 void PathsFinderProcess::on_round_begin(Round r, sim::Mailer& out) {
@@ -82,14 +74,13 @@ void PathsFinderProcess::on_round_end(Round r,
                                       std::span<const sim::Envelope> inbox) {
   real_->on_round_end(r, inbox);
   if (path_.has_value() || !real_->output().has_value()) return;
+  const EulerList& euler = index_.euler();
   const std::int64_t idx = closest_int(*real_->output());
   TREEAA_CHECK_MSG(
-      idx >= 1 && idx <= static_cast<std::int64_t>(euler_.size()),
+      idx >= 1 && idx <= static_cast<std::int64_t>(euler.size()),
       "RealAA output " << *real_->output()
                        << " outside the Euler list range");
-  const VertexId v = euler_.at(static_cast<std::size_t>(idx));
-  path_ = index_ != nullptr ? index_->root_path(v)
-                            : tree_.path(tree_.root(), v);
+  path_ = index_.root_path(euler.at(static_cast<std::size_t>(idx)));
 }
 
 }  // namespace treeaa::core

@@ -28,7 +28,6 @@
 #include "perf/tree_index.h"
 #include "realaa/real_aa.h"
 #include "sim/process.h"
-#include "trees/euler.h"
 #include "trees/labeled_tree.h"
 
 namespace treeaa::core {
@@ -68,19 +67,12 @@ struct PathsFinderOptions {
 [[nodiscard]] double paths_finder_range(const LabeledTree& tree);
 
 /// One party's PathsFinder instance. Local rounds 1..rounds(). The caller
-/// provides the Euler list so that the (identical, deterministic) list is
-/// built once per experiment rather than once per party; `euler` must be
-/// built from `tree` and both must outlive the process.
+/// provides a TreeIndex so that the (identical, deterministic) Euler list is
+/// built once per experiment rather than once per party, and the obtained
+/// path is materialised through the index's root_path. `index` must outlive
+/// the process.
 class PathsFinderProcess final : public sim::Process {
  public:
-  PathsFinderProcess(const LabeledTree& tree, const EulerList& euler,
-                     std::size_t n, std::size_t t, PartyId self,
-                     VertexId input, PathsFinderOptions opts = {});
-
-  /// Same protocol, backed by a shared TreeIndex: path materialisation uses
-  /// the index's O(1)-per-vertex root_path instead of a parent walk per
-  /// query. `index` must outlive the process. Results are identical to the
-  /// (tree, euler) constructor.
   PathsFinderProcess(const perf::TreeIndex& index, std::size_t n,
                      std::size_t t, PartyId self, VertexId input,
                      PathsFinderOptions opts = {});
@@ -111,10 +103,7 @@ class PathsFinderProcess final : public sim::Process {
   }
 
  private:
-  const LabeledTree& tree_;
-  const EulerList& euler_;
-  const perf::TreeIndex* index_ = nullptr;  // fast path when constructed
-                                            // from a TreeIndex
+  const perf::TreeIndex& index_;
   std::unique_ptr<realaa::RealAgreement> real_;
   std::optional<std::vector<VertexId>> path_;
 };

@@ -5,7 +5,6 @@
 
 #include "common/check.h"
 #include "core/closest_int.h"
-#include "trees/paths.h"
 
 namespace treeaa::core {
 
@@ -45,29 +44,10 @@ std::size_t tree_aa_rounds(const LabeledTree& tree, std::size_t n,
          real_engine_rounds(engine, n, t, projection_range(tree), 1.0);
 }
 
-TreeAAProcess::TreeAAProcess(const LabeledTree& tree, const EulerList& euler,
-                             std::size_t n, std::size_t t, PartyId self,
-                             VertexId input, TreeAAOptions opts)
-    : tree_(tree),
-      n_(n),
-      t_(t),
-      self_(self),
-      input_(input),
-      opts_(opts),
-      finder_(tree, euler, n, t, self, input, finder_options(opts)),
-      rounds_phase1_(finder_.rounds()),
-      rounds_total_(tree_aa_rounds(tree, n, t, opts)) {
-  if (rounds_total_ == 0) {
-    // Single-vertex tree (or D(T) = 0): trivial instance.
-    output_ = input_;
-  }
-}
-
 TreeAAProcess::TreeAAProcess(const perf::TreeIndex& index, std::size_t n,
                              std::size_t t, PartyId self, VertexId input,
                              TreeAAOptions opts)
-    : tree_(index.tree()),
-      index_(&index),
+    : index_(index),
       n_(n),
       t_(t),
       self_(self),
@@ -77,6 +57,7 @@ TreeAAProcess::TreeAAProcess(const perf::TreeIndex& index, std::size_t n,
       rounds_phase1_(finder_.rounds()),
       rounds_total_(tree_aa_rounds(index.tree(), n, t, opts)) {
   if (rounds_total_ == 0) {
+    // Single-vertex tree (or D(T) = 0): trivial instance.
     output_ = input_;
   }
 }
@@ -110,18 +91,13 @@ void TreeAAProcess::start_phase2() {
   TREEAA_CHECK_MSG(finder_.path().has_value(),
                    "PathsFinder must be complete at the phase boundary");
   const auto& path = *finder_.path();
-  // With a TreeIndex the projection is one O(1) median query, and the
-  // 1-based position of a vertex on a root-anchored path is depth + 1 — no
-  // path scan. Both agree exactly with the naive walks.
+  // The projection is one O(1) median query, and the 1-based position of a
+  // vertex on a root-anchored path is depth + 1 — no path scan.
   const VertexId proj =
-      index_ != nullptr
-          ? index_->project_onto_path(path.front(), path.back(), input_)
-          : project_onto_path(tree_, path, input_);
-  const std::size_t i = index_ != nullptr
-                            ? index_->index_on_root_path(proj)
-                            : index_in_path(path, proj);
+      index_.project_onto_path(path.front(), path.back(), input_);
+  const std::size_t i = index_.index_on_root_path(proj);
   projector_ = make_real_engine(opts_.engine_config(), n_, t_,
-                                projection_range(tree_), 1.0, self_,
+                                projection_range(index_.tree()), 1.0, self_,
                                 static_cast<double>(i));
   if (projector_->output().has_value()) finish(*projector_->output());
 }

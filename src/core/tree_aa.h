@@ -29,7 +29,6 @@
 #include "perf/tree_index.h"
 #include "realaa/real_aa.h"
 #include "sim/process.h"
-#include "trees/euler.h"
 #include "trees/labeled_tree.h"
 
 namespace treeaa::core {
@@ -66,19 +65,11 @@ struct TreeAAOptions {
 [[nodiscard]] VertexId resolve_output_vertex(std::span<const VertexId> path,
                                              double j);
 
-/// One party's TreeAA instance. Local rounds 1..tree_aa_rounds(...).
-/// `euler` must be built from `tree`; both must outlive the process.
+/// One party's TreeAA instance. Local rounds 1..tree_aa_rounds(...). The
+/// phase boundary's projection and path-index computations are O(1) queries
+/// on the shared `index`, which must outlive the process.
 class TreeAAProcess final : public sim::Process {
  public:
-  TreeAAProcess(const LabeledTree& tree, const EulerList& euler,
-                std::size_t n, std::size_t t, PartyId self, VertexId input,
-                TreeAAOptions opts = {});
-
-  /// Same protocol, backed by a shared TreeIndex: the phase boundary's
-  /// projection and path-index computations become O(1) LCA queries and
-  /// PathsFinder materialises its path through the index. `index` must
-  /// outlive the process. Results are identical to the (tree, euler)
-  /// constructor.
   TreeAAProcess(const perf::TreeIndex& index, std::size_t n, std::size_t t,
                 PartyId self, VertexId input, TreeAAOptions opts = {});
 
@@ -121,9 +112,7 @@ class TreeAAProcess final : public sim::Process {
   void start_phase2();
   void finish(double j);
 
-  const LabeledTree& tree_;
-  const perf::TreeIndex* index_ = nullptr;  // fast path when constructed
-                                            // from a TreeIndex
+  const perf::TreeIndex& index_;
   std::size_t n_;
   std::size_t t_;
   PartyId self_;

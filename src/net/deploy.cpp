@@ -13,9 +13,9 @@
 #include "net/behaviors.h"
 #include "net/runtime.h"
 #include "obs/span.h"
+#include "perf/tree_index.h"
 #include "sim/engine.h"
 #include "sim/strategies.h"
-#include "trees/euler.h"
 
 namespace treeaa::net {
 
@@ -91,7 +91,7 @@ DeployResult run_tree_aa_net(const LabeledTree& tree,
   }
 
   // --- The socket world ------------------------------------------------------
-  const EulerList euler(tree);
+  const perf::TreeIndex index(tree);
   NetOptions net_options;
   net_options.faults = cfg.faults;
   net_options.seed = cfg.seed;
@@ -105,7 +105,7 @@ DeployResult run_tree_aa_net(const LabeledTree& tree,
       runner.set_process(p, make_behavior(cfg.adversary, p, n, fuzz_seed));
     } else {
       auto proc = std::make_unique<core::TreeAAProcess>(
-          tree, euler, n, t, p, inputs[p], cfg.protocol);
+          index, n, t, p, inputs[p], cfg.protocol);
       net_procs[p] = proc.get();
       runner.set_process(p, std::move(proc));
     }
@@ -127,7 +127,7 @@ DeployResult run_tree_aa_net(const LabeledTree& tree,
     std::vector<core::TreeAAProcess*> sim_procs(n, nullptr);
     for (PartyId p = 0; p < n; ++p) {
       auto proc = std::make_unique<core::TreeAAProcess>(
-          tree, euler, n, t, p, inputs[p], cfg.protocol);
+          index, n, t, p, inputs[p], cfg.protocol);
       sim_procs[p] = proc.get();
       engine.set_process(p, std::move(proc));
     }
@@ -173,7 +173,7 @@ DeployResult run_tree_aa_net(const LabeledTree& tree,
   }
   TREEAA_REQUIRE_MSG(!honest_outputs.empty(),
                      "every party is Byzantine or crashed");
-  result.check = core::check_agreement(tree, honest_inputs, honest_outputs);
+  result.check = core::check_agreement(index, honest_inputs, honest_outputs);
 
   NetReport& report = result.report;
   report.n = n;

@@ -1,25 +1,26 @@
-// TreeIndex — the precomputed query accelerator for one LabeledTree.
+// TreeIndex — the one precomputed query structure for a LabeledTree.
 //
-// LabeledTree answers lca/distance/median in O(log n) via binary lifting and
-// path() by climbing parent pointers twice. Those costs are invisible in a
-// single protocol run but dominate large sweep grids and the throughput
-// benches: TreeAA's phase-2 hand-off alone performs one projection and one
-// path-index query per party, and check_agreement touches O(k^2) vertex
-// pairs. TreeIndex front-loads the work once per tree:
+// Lemma 2 property 4 (paper §6) says the LCA of u and v is the minimum-depth
+// entry of the Euler list between their occurrences. So one ListConstruction
+// list plus one range-minimum structure over its depths answers every tree
+// query the protocols, check_agreement and the BlockAA reduction need.
+// TreeIndex builds both in O(n):
 //
-//   * an Euler list (ListConstruction, shared with the protocols so the
+//   * the Euler list (ListConstruction, shared with the protocols so the
 //     list is built once per experiment instead of once per subsystem);
-//   * a sparse-table RMQ over the tour (trees/lca.h) giving O(1) lca,
-//     distance, depth, ancestor and median queries;
+//   * a linear RMQ over the tour depths: a sparse table over 64-entry
+//     blocks plus, per tour position, a 64-bit mask of the in-block
+//     min-stack. A query reads at most two masks and two table cells, so
+//     lca, distance, depth, ancestor and median queries are O(1);
 //   * root-anchored path materialization with a single exact-size
 //     allocation — the paths PathsFinder and TreeAA produce are always
 //     anchored at the root, so a path is just the ancestor chain reversed
 //     and the 1-based index of any vertex on it is depth + 1.
 //
-// Every query agrees exactly with the naive LabeledTree walk (the property
-// tests in tests/perf pin this across all generator families); protocols and
-// check_agreement may therefore consult whichever is at hand without
-// affecting determinism.
+// Ties need no rule: every minimum-depth entry of a window between two first
+// occurrences is the LCA vertex itself. Every query rejects an out-of-range
+// vertex id with std::invalid_argument, as LabeledTree does. The property
+// tests in tests/perf pin every query against parent-walk references.
 #pragma once
 
 #include <cstdint>
@@ -29,42 +30,34 @@
 #include "common/types.h"
 #include "trees/euler.h"
 #include "trees/labeled_tree.h"
-#include "trees/lca.h"
 
 namespace treeaa::perf {
 
 class TreeIndex {
  public:
-  /// Builds the index: one DFS for the Euler list plus the O(n log n)
-  /// sparse table. `tree` must outlive the index.
+  /// Builds the index: one DFS for the Euler list plus the O(n) block RMQ.
+  /// `tree` must outlive the index.
   explicit TreeIndex(const LabeledTree& tree);
 
   [[nodiscard]] const LabeledTree& tree() const { return *tree_; }
-  /// The Euler list of the tree — pass it to PathsFinder/TreeAA processes
-  /// so the list is built once per experiment.
+  /// The Euler list of the tree, which PathsFinder feeds into RealAA.
   [[nodiscard]] const EulerList& euler() const { return euler_; }
 
   [[nodiscard]] VertexId root() const { return tree_->root(); }
   [[nodiscard]] std::size_t n() const { return tree_->n(); }
 
   /// Depth of v (root has depth 0). O(1).
-  [[nodiscard]] std::uint32_t depth(VertexId v) const {
-    return lca_.depth(v);
-  }
+  [[nodiscard]] std::uint32_t depth(VertexId v) const;
 
   /// Lowest common ancestor. O(1).
-  [[nodiscard]] VertexId lca(VertexId u, VertexId v) const {
-    return lca_.lca(u, v);
-  }
+  [[nodiscard]] VertexId lca(VertexId u, VertexId v) const;
 
   /// d(u, v). O(1).
-  [[nodiscard]] std::uint32_t distance(VertexId u, VertexId v) const {
-    return lca_.distance(u, v);
-  }
+  [[nodiscard]] std::uint32_t distance(VertexId u, VertexId v) const;
 
   /// True iff `a` is an ancestor of `d` (a vertex is its own ancestor). O(1).
   [[nodiscard]] bool is_ancestor(VertexId a, VertexId d) const {
-    return lca_.lca(a, d) == a;
+    return lca(a, d) == a;
   }
 
   /// The median m(a, b, c) — the unique vertex on all three pairwise paths.
@@ -98,9 +91,30 @@ class TreeIndex {
       std::span<const VertexId> a, std::span<const VertexId> b) const;
 
  private:
+  /// 0-based tour position of v's first occurrence; rejects bad ids.
+  [[nodiscard]] std::uint32_t first(VertexId v) const;
+  /// The minimum key of tour positions [a, b], a <= b.
+  [[nodiscard]] std::uint64_t min_key(std::uint32_t a, std::uint32_t b) const;
+  /// min_key when [a, b] lies inside one block.
+  [[nodiscard]] std::uint64_t min_key_in_block(std::uint32_t a,
+                                               std::uint32_t b) const;
+  /// The key of lca(u, v): the minimum key between the first occurrences.
+  [[nodiscard]] std::uint64_t lca_key(VertexId u, VertexId v) const;
+
   const LabeledTree* tree_;
   EulerList euler_;
-  SparseLcaIndex lca_;
+  std::vector<std::uint32_t> first_;  // vertex -> first tour position
+  // (depth << 32) | vertex per tour entry. Keys order by depth first, and
+  // a window's minimum-depth entries all carry the LCA, so the minimum key
+  // of a window names the LCA and its depth with no further lookup.
+  std::vector<std::uint64_t> tour_key_;
+  // stack_mask_[k] bit i: block position i is on the min-stack of the
+  // block's entries up to k, i.e. its key is no larger than any in (i, k].
+  std::vector<std::uint64_t> stack_mask_;
+  // Sparse table over blocks, level-major: block_min_[j * blocks_ + b] is
+  // the minimum key of blocks [b, b + 2^j).
+  std::vector<std::uint64_t> block_min_;
+  std::size_t blocks_ = 0;
 };
 
 }  // namespace treeaa::perf

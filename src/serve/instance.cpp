@@ -10,6 +10,7 @@
 #include "harness/adversary_spec.h"
 #include "harness/runner.h"
 #include "obs/report.h"
+#include "perf/tree_index.h"
 #include "sim/strategies.h"
 
 namespace treeaa::serve {
@@ -121,12 +122,8 @@ void check_paths(const LabeledTree& tree, const harness::RunOutcome& outcome,
     tips.push_back(path->back());
   }
   valid = valid && !tips.empty();
-  std::uint32_t spread = 0;
-  for (std::size_t i = 0; i < tips.size(); ++i) {
-    for (std::size_t j = i + 1; j < tips.size(); ++j) {
-      spread = std::max(spread, tree.distance(tips[i], tips[j]));
-    }
-  }
+  const std::uint32_t spread =
+      perf::TreeIndex(tree).max_pairwise_distance(tips, tips);
   reply.valid = valid;
   reply.spread = static_cast<double>(spread);
   reply.one_agreement = spread <= 1;

@@ -7,15 +7,28 @@ namespace treeaa {
 EulerList::EulerList(const LabeledTree& tree) {
   const std::size_t n = tree.n();
   list_.reserve(2 * n - 1);
-  occurrences_.assign(n, {});
 
-  // Iterative DFS; `next_child[v]` is the index of the next unvisited child.
-  // A vertex is recorded on entry and again after each child returns.
+  // v is recorded once on entry and once after each child returns, so L(v)
+  // has 1 + |children(v)| entries and the flat layout is known up front.
+  occurrence_offsets_.resize(n + 1);
+  occurrence_offsets_[0] = 0;
+  for (VertexId v = 0; v < n; ++v) {
+    occurrence_offsets_[v + 1] =
+        occurrence_offsets_[v] + 1 + tree.children(v).size();
+  }
+  occurrence_positions_.resize(occurrence_offsets_[n]);
+
+  // Iterative DFS; `next_child[v]` is the index of the next unvisited child
+  // and therefore also the number of v's occurrences recorded after entry.
   std::vector<std::size_t> next_child(n, 0);
   std::vector<VertexId> stack;
+  const auto record = [&](VertexId v) {
+    list_.push_back(v);
+    occurrence_positions_[occurrence_offsets_[v] + next_child[v]] =
+        list_.size();
+  };
   stack.push_back(tree.root());
-  list_.push_back(tree.root());
-  occurrences_[tree.root()].push_back(list_.size());
+  record(tree.root());
 
   while (!stack.empty()) {
     const VertexId v = stack.back();
@@ -23,15 +36,10 @@ EulerList::EulerList(const LabeledTree& tree) {
     if (next_child[v] < kids.size()) {
       const VertexId c = kids[next_child[v]++];
       stack.push_back(c);
-      list_.push_back(c);
-      occurrences_[c].push_back(list_.size());
+      record(c);
     } else {
       stack.pop_back();
-      if (!stack.empty()) {
-        const VertexId p = stack.back();
-        list_.push_back(p);
-        occurrences_[p].push_back(list_.size());
-      }
+      if (!stack.empty()) record(stack.back());
     }
   }
 
@@ -46,8 +54,10 @@ VertexId EulerList::at(std::size_t i) const {
 }
 
 std::span<const std::size_t> EulerList::occurrences(VertexId v) const {
-  TREEAA_REQUIRE(v < occurrences_.size());
-  return occurrences_[v];
+  TREEAA_REQUIRE(v < occurrence_offsets_.size() - 1);
+  return std::span<const std::size_t>(occurrence_positions_)
+      .subspan(occurrence_offsets_[v],
+               occurrence_offsets_[v + 1] - occurrence_offsets_[v]);
 }
 
 std::size_t EulerList::first_occurrence(VertexId v) const {

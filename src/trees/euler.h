@@ -51,8 +51,12 @@ class EulerList {
   [[nodiscard]] std::span<const VertexId> raw() const { return list_; }
 
  private:
-  std::vector<VertexId> list_;                        // 0-based storage
-  std::vector<std::vector<std::size_t>> occurrences_;  // 1-based indices
+  std::vector<VertexId> list_;  // 0-based storage
+  // L(v) is occurrence_positions_[occurrence_offsets_[v] ..
+  // occurrence_offsets_[v + 1]), 1-based and ascending: one flat array
+  // instead of one allocation per vertex.
+  std::vector<std::size_t> occurrence_offsets_;    // n + 1 entries
+  std::vector<std::size_t> occurrence_positions_;  // |L| entries
 };
 
 }  // namespace treeaa

@@ -14,7 +14,6 @@ LabeledTree LabeledTree::single(std::string label) {
   t.labels_.push_back(std::move(label));
   t.adj_.emplace_back();
   t.build_rooted_view();
-  t.build_lca_index();
   t.compute_diameter();
   return t;
 }
@@ -60,7 +59,6 @@ LabeledTree LabeledTree::from_edges(
   }
 
   t.build_rooted_view();  // also verifies connectivity
-  t.build_lca_index();
   t.compute_diameter();
   return t;
 }
@@ -91,24 +89,6 @@ void LabeledTree::build_rooted_view() {
     }
   }
   TREEAA_REQUIRE_MSG(visited == n, "edge list is not connected");
-}
-
-void LabeledTree::build_lca_index() {
-  const std::size_t n = this->n();
-  std::uint32_t max_depth = 0;
-  for (const std::uint32_t d : depth_) max_depth = std::max(max_depth, d);
-  std::size_t levels = 1;
-  while ((1ull << levels) <= max_depth) ++levels;
-
-  up_.assign(levels, std::vector<VertexId>(n));
-  for (VertexId v = 0; v < n; ++v) {
-    up_[0][v] = parent_[v] == kNoVertex ? v : parent_[v];
-  }
-  for (std::size_t k = 1; k < levels; ++k) {
-    for (VertexId v = 0; v < n; ++v) {
-      up_[k][v] = up_[k - 1][up_[k - 1][v]];
-    }
-  }
 }
 
 void LabeledTree::compute_diameter() {
@@ -170,54 +150,26 @@ std::span<const VertexId> LabeledTree::children(VertexId v) const {
   return children_[v];
 }
 
-VertexId LabeledTree::lca(VertexId u, VertexId v) const {
+std::vector<VertexId> LabeledTree::path(VertexId u, VertexId v) const {
   require_vertex(u);
   require_vertex(v);
-  if (depth_[u] < depth_[v]) std::swap(u, v);
-  // Lift u to v's depth.
-  std::uint32_t diff = depth_[u] - depth_[v];
-  for (std::size_t k = 0; diff != 0; ++k, diff >>= 1) {
-    if (diff & 1u) u = up_[k][u];
-  }
-  if (u == v) return u;
-  for (std::size_t k = up_.size(); k-- > 0;) {
-    if (up_[k][u] != up_[k][v]) {
-      u = up_[k][u];
-      v = up_[k][v];
+  // Climb the deeper end (u on ties) until the ends meet at the LCA: a
+  // vertex at least as deep as the other end, and distinct from it, is not
+  // its ancestor, so neither end ever climbs past the LCA.
+  std::vector<VertexId> head;  // u .. LCA, exclusive
+  std::vector<VertexId> tail;  // v .. LCA, exclusive
+  while (u != v) {
+    if (depth_[u] >= depth_[v]) {
+      head.push_back(u);
+      u = parent_[u];
+    } else {
+      tail.push_back(v);
+      v = parent_[v];
     }
   }
-  return parent_[u];
-}
-
-bool LabeledTree::is_ancestor(VertexId a, VertexId d) const {
-  return lca(a, d) == a;
-}
-
-std::uint32_t LabeledTree::distance(VertexId u, VertexId v) const {
-  const VertexId w = lca(u, v);
-  return depth_[u] + depth_[v] - 2 * depth_[w];
-}
-
-std::vector<VertexId> LabeledTree::path(VertexId u, VertexId v) const {
-  const VertexId w = lca(u, v);
-  std::vector<VertexId> up_part;
-  for (VertexId x = u; x != w; x = parent_[x]) up_part.push_back(x);
-  up_part.push_back(w);
-  std::vector<VertexId> down_part;
-  for (VertexId x = v; x != w; x = parent_[x]) down_part.push_back(x);
-  up_part.insert(up_part.end(), down_part.rbegin(), down_part.rend());
-  return up_part;
-}
-
-VertexId LabeledTree::median(VertexId a, VertexId b, VertexId c) const {
-  // The median is the deepest of the three pairwise LCAs.
-  const VertexId x = lca(a, b);
-  const VertexId y = lca(a, c);
-  const VertexId z = lca(b, c);
-  VertexId m = x;
-  if (depth_[y] > depth_[m]) m = y;
-  if (depth_[z] > depth_[m]) m = z;
-  return m;
+  head.push_back(u);
+  head.insert(head.end(), tail.rbegin(), tail.rend());
+  return head;
 }
 
 void LabeledTree::require_vertex(VertexId v) const {

@@ -11,11 +11,13 @@
 //   * vertices are assigned ids 0..n-1 in lexicographic label order
 //     (so the root, the smallest label, is always vertex 0);
 //   * adjacency lists are sorted ascending by id (= ascending by label);
-//   * the rooted view (parent / depth / children) and a binary-lifting LCA
-//     index are precomputed, making distance / path / ancestor queries cheap.
+//   * the rooted view (parent / depth / children) and the diameter are
+//     precomputed.
 //
-// The class is immutable after construction, which is exactly the setting of
-// the paper: the input space is fixed and common knowledge.
+// LabeledTree holds no LCA table: lca / distance / median queries go through
+// perf::TreeIndex (the Euler list plus an O(n) RMQ), and path() walks parent
+// pointers. The class is immutable after construction, which is exactly the
+// setting of the paper: the input space is fixed and common knowledge.
 #pragma once
 
 #include <optional>
@@ -72,23 +74,10 @@ class LabeledTree {
   /// Children of v in the rooted view, sorted ascending by id.
   [[nodiscard]] std::span<const VertexId> children(VertexId v) const;
 
-  /// True iff `a` is an ancestor of `d` (a vertex is its own ancestor).
-  [[nodiscard]] bool is_ancestor(VertexId a, VertexId d) const;
-
-  /// Lowest common ancestor in the rooted view, O(log n).
-  [[nodiscard]] VertexId lca(VertexId u, VertexId v) const;
-
-  /// Length of the unique path P(u, v) — the paper's d(u, v).
-  [[nodiscard]] std::uint32_t distance(VertexId u, VertexId v) const;
-
   /// The unique path P(u, v) as a vertex sequence starting at u and ending
-  /// at v (inclusive). For u == v this is the single-vertex path.
+  /// at v (inclusive). For u == v this is the single-vertex path. A parent
+  /// walk that first brings both ends to the same depth: O(|P|).
   [[nodiscard]] std::vector<VertexId> path(VertexId u, VertexId v) const;
-
-  /// The median vertex m(a, b, c): the unique vertex lying on all three
-  /// pairwise paths. For a path P(a, b), m(a, b, c) is the projection of c
-  /// onto that path (used by §5).
-  [[nodiscard]] VertexId median(VertexId a, VertexId b, VertexId c) const;
 
   /// Tree diameter D(T): length of the longest path. 0 for a single vertex.
   [[nodiscard]] std::uint32_t diameter() const { return diameter_; }
@@ -105,7 +94,6 @@ class LabeledTree {
   LabeledTree() = default;
 
   void build_rooted_view();
-  void build_lca_index();
   void compute_diameter();
 
   /// Farthest vertex from src and its distance, via BFS; ties broken by
@@ -119,7 +107,6 @@ class LabeledTree {
   std::vector<VertexId> parent_;
   std::vector<std::uint32_t> depth_;
   std::vector<std::vector<VertexId>> children_;
-  std::vector<std::vector<VertexId>> up_;  // binary lifting: up_[k][v]
   std::uint32_t diameter_ = 0;
   std::pair<VertexId, VertexId> diameter_ends_{0, 0};
 };

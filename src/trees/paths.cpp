@@ -7,6 +7,16 @@
 
 namespace treeaa {
 
+namespace {
+
+/// d(u, v) as the length of the parent-walk path P(u, v). O(|P|).
+std::uint32_t walk_distance(const LabeledTree& tree, VertexId u,
+                            VertexId v) {
+  return static_cast<std::uint32_t>(tree.path(u, v).size() - 1);
+}
+
+}  // namespace
+
 bool is_simple_path(const LabeledTree& tree, std::span<const VertexId> p) {
   if (p.empty()) return false;
   std::unordered_set<VertexId> seen;
@@ -21,23 +31,14 @@ bool is_simple_path(const LabeledTree& tree, std::span<const VertexId> p) {
   return true;
 }
 
-VertexId project_onto_path(const LabeledTree& tree,
-                           std::span<const VertexId> p, VertexId v) {
-  TREEAA_REQUIRE_MSG(!p.empty(), "projection onto an empty path");
-  tree.require_vertex(v);
-  // proj_P(v) is the unique vertex on P(a, b) minimizing the distance to v;
-  // it coincides with the median m(a, b, v).
-  return tree.median(p.front(), p.back(), v);
-}
-
 VertexId project_onto_path_bruteforce(const LabeledTree& tree,
                                       std::span<const VertexId> p,
                                       VertexId v) {
   TREEAA_REQUIRE_MSG(!p.empty(), "projection onto an empty path");
   VertexId best = p.front();
-  std::uint32_t best_dist = tree.distance(best, v);
+  std::uint32_t best_dist = walk_distance(tree, best, v);
   for (const VertexId u : p.subspan(1)) {
-    const std::uint32_t d = tree.distance(u, v);
+    const std::uint32_t d = walk_distance(tree, u, v);
     if (d < best_dist) {
       best = u;
       best_dist = d;
@@ -59,13 +60,8 @@ std::vector<VertexId> convex_hull(const LabeledTree& tree,
   TREEAA_REQUIRE_MSG(!s.empty(), "convex hull of an empty set");
   std::vector<bool> mark(tree.n(), false);
   const VertexId anchor = s.front();
-  mark[anchor] = true;
   for (const VertexId v : s) {
-    // Mark the full path v -> lca(anchor, v) -> anchor.
-    const VertexId w = tree.lca(anchor, v);
-    for (VertexId x = v; x != w; x = tree.parent(x)) mark[x] = true;
-    mark[w] = true;
-    for (VertexId x = anchor; x != w; x = tree.parent(x)) mark[x] = true;
+    for (const VertexId x : tree.path(anchor, v)) mark[x] = true;
   }
   std::vector<VertexId> hull;
   for (VertexId v = 0; v < tree.n(); ++v) {
@@ -95,7 +91,8 @@ bool in_hull(const LabeledTree& tree, std::span<const VertexId> s,
   tree.require_vertex(w);
   for (const VertexId u : s) {
     for (const VertexId v : s) {
-      if (tree.distance(u, w) + tree.distance(w, v) == tree.distance(u, v)) {
+      if (walk_distance(tree, u, w) + walk_distance(tree, w, v) ==
+          walk_distance(tree, u, v)) {
         return true;
       }
     }

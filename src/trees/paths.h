@@ -7,8 +7,10 @@
 //   closest to v (paper, Figure 2); on a tree it equals the median of
 //   {P's endpoints, v}.
 //
-// Both a production implementation and an intentionally naive brute-force
-// version are provided; the test suite cross-validates them on random trees.
+// Everything here takes a bare LabeledTree and computes by parent walks; the
+// O(1) lca / distance / projection queries live in perf::TreeIndex, which
+// this library cannot link. Intentionally naive brute-force versions are
+// provided as test oracles.
 #pragma once
 
 #include <span>
@@ -24,13 +26,9 @@ namespace treeaa {
 [[nodiscard]] bool is_simple_path(const LabeledTree& tree,
                                   std::span<const VertexId> p);
 
-/// proj_P(v): the vertex of path `p` with the smallest distance to `v`.
-/// O(log n) via the median trick. Requires `p` non-empty.
-[[nodiscard]] VertexId project_onto_path(const LabeledTree& tree,
-                                         std::span<const VertexId> p,
-                                         VertexId v);
-
-/// Brute-force projection by scanning all path vertices. O(|p| log n).
+/// proj_P(v): the vertex of path `p` with the smallest distance to `v`, by
+/// scanning all path vertices. O(|p| * D(T)); the protocols use
+/// perf::TreeIndex::project_onto_path instead. Requires `p` non-empty.
 [[nodiscard]] VertexId project_onto_path_bruteforce(
     const LabeledTree& tree, std::span<const VertexId> p, VertexId v);
 
@@ -42,7 +40,8 @@ namespace treeaa {
 /// Convex hull <S> as a sorted vertex list. Computed as the union of the
 /// paths from one element of S to every other element (that union is a
 /// connected subgraph containing S, hence contains the minimal subtree, and
-/// each such path lies inside it — so it *is* the hull). O(|S| * D(T)).
+/// each such path lies inside it — so it *is* the hull). O(|S| * D(T)) by
+/// parent walks.
 /// Requires S non-empty.
 [[nodiscard]] std::vector<VertexId> convex_hull(const LabeledTree& tree,
                                                 std::span<const VertexId> s);
@@ -54,7 +53,7 @@ namespace treeaa {
 
 /// Membership test w ∈ <S> without materializing the hull: w ∈ <S> iff
 /// d(u, w) + d(w, v) == d(u, v) for some pair u, v ∈ S (u == v allowed,
-/// covering w ∈ S). O(|S|^2 log n).
+/// covering w ∈ S). O(|S|^2 * D(T)) by parent walks.
 [[nodiscard]] bool in_hull(const LabeledTree& tree,
                            std::span<const VertexId> s, VertexId w);
 

@@ -3,10 +3,10 @@
 
 #include <gtest/gtest.h>
 
+#include "perf/tree_index.h"
 #include "sim/engine.h"
 #include "sim/strategies.h"
 #include "sim/trace.h"
-#include "trees/euler.h"
 #include "trees/generators.h"
 
 namespace treeaa::core {
@@ -77,12 +77,12 @@ TEST(RunTreeAA, TranscriptLevelDeterminism) {
   auto transcript = [] {
     Rng rng(77);
     const auto tree = make_random_tree(30, rng);
-    const EulerList euler(tree);
+    const perf::TreeIndex index(tree);
     const std::size_t n = 4, t = 1;
     sim::Engine engine(n, t);
     for (PartyId p = 0; p < n; ++p) {
       engine.set_process(p, std::make_unique<TreeAAProcess>(
-                                tree, euler, n, t, p,
+                                index, n, t, p,
                                 static_cast<VertexId>(p * 7 % tree.n())));
     }
     sim::RecordingTracer tracer(/*payloads=*/true);

@@ -19,7 +19,7 @@ TEST(Generators, SpreadVertexInputsAlternateDiameterEndpoints) {
   EXPECT_EQ(inputs[0], a);
   EXPECT_EQ(inputs[1], b);
   EXPECT_EQ(inputs[2], a);
-  EXPECT_EQ(tree.distance(inputs[0], inputs[1]), tree.diameter());
+  EXPECT_EQ(tree.path(inputs[0], inputs[1]).size(), tree.diameter() + 1);
 }
 
 TEST(Generators, RandomVertexInputsAreValidVertices) {

@@ -99,7 +99,7 @@ TEST(PathsFinder, MixedIndexChoicesPreserveLemma4) {
   for (std::uint64_t seed = 1; seed <= 6; ++seed) {
     Rng rng(seed * 13);
     const auto tree = make_random_tree(10 + rng.index(80), rng);
-    const EulerList euler(tree);
+    const perf::TreeIndex index(tree);
     const std::size_t n = 7, t = 2;
     const auto inputs = harness::random_vertex_inputs(tree, n, rng);
 
@@ -109,7 +109,7 @@ TEST(PathsFinder, MixedIndexChoicesPreserveLemma4) {
       PathsFinderOptions opts;
       opts.index_choice = p % 2 == 0 ? EulerIndexChoice::kMinOccurrence
                                      : EulerIndexChoice::kMaxOccurrence;
-      auto proc = std::make_unique<PathsFinderProcess>(tree, euler, n, t, p,
+      auto proc = std::make_unique<PathsFinderProcess>(index, n, t, p,
                                                        inputs[p], opts);
       procs[p] = proc.get();
       engine.set_process(p, std::move(proc));

@@ -326,12 +326,12 @@ TEST(TreeAATelemetry, SplitAdversaryGetsDetected) {
 
 TEST(TreeAATelemetry, PerPartyFieldsAreFilled) {
   const auto tree = make_path(50);
-  const EulerList euler(tree);
+  const perf::TreeIndex index(tree);
   const std::size_t n = 4, t = 1;
   sim::Engine engine(n, t);
   std::vector<TreeAAProcess*> procs(n);
   for (PartyId p = 0; p < n; ++p) {
-    auto proc = std::make_unique<TreeAAProcess>(tree, euler, n, t, p,
+    auto proc = std::make_unique<TreeAAProcess>(index, n, t, p,
                                                 static_cast<VertexId>(p));
     procs[p] = proc.get();
     engine.set_process(p, std::move(proc));

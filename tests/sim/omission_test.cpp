@@ -7,8 +7,8 @@
 #include "core/api.h"
 #include "core/tree_aa.h"
 #include "harness/runner.h"
+#include "perf/tree_index.h"
 #include "sim/strategies.h"
-#include "trees/euler.h"
 #include "trees/generators.h"
 
 namespace treeaa::sim {
@@ -70,7 +70,7 @@ TEST(OmissionFaults, TreeAAToleratesLossySenders) {
   for (std::uint64_t seed = 1; seed <= 4; ++seed) {
     Rng rng(seed);
     const auto tree = make_random_tree(60, rng);
-    const EulerList euler(tree);
+    const perf::TreeIndex index(tree);
     const std::size_t n = 7, t = 2;
     const auto inputs = harness::random_vertex_inputs(tree, n, rng);
 
@@ -78,7 +78,7 @@ TEST(OmissionFaults, TreeAAToleratesLossySenders) {
     for (const PartyId victim : {5u, 6u}) {
       puppets.push_back(
           {victim,
-           std::make_unique<core::TreeAAProcess>(tree, euler, n, t, victim,
+           std::make_unique<core::TreeAAProcess>(index, n, t, victim,
                                                  inputs[victim]),
            PuppetAdversary::random_drops(0.3, seed * 7 + victim)});
     }

@@ -7,6 +7,7 @@
 #include <algorithm>
 
 #include "common/rng.h"
+#include "perf/tree_index.h"
 #include "trees/generators.h"
 #include "trees/labeled_tree.h"
 
@@ -102,6 +103,7 @@ TEST_P(EulerProperty, SizeBoundAndCoverage) {
 TEST_P(EulerProperty, SubtreeWindowCharacterization) {
   const auto t = make_tree();
   const EulerList L(t);
+  const perf::TreeIndex index(t);
   for (VertexId v = 0; v < t.n(); ++v) {
     const std::size_t lo = L.first_occurrence(v);
     const std::size_t hi = L.last_occurrence(v);
@@ -110,7 +112,8 @@ TEST_P(EulerProperty, SubtreeWindowCharacterization) {
       const bool inside = std::all_of(
           occ.begin(), occ.end(),
           [&](std::size_t i) { return lo <= i && i <= hi; });
-      EXPECT_EQ(inside, t.is_ancestor(v, u)) << "v=" << v << " u=" << u;
+      EXPECT_EQ(inside, index.is_ancestor(v, u))
+          << "v=" << v << " u=" << u;
     }
   }
 }
@@ -120,11 +123,12 @@ TEST_P(EulerProperty, SubtreeWindowCharacterization) {
 TEST_P(EulerProperty, LcaInEveryWindow) {
   const auto t = make_tree();
   const EulerList L(t);
+  const perf::TreeIndex index(t);
   Rng rng(GetParam() ^ 0xF00D);
   for (int trial = 0; trial < 50; ++trial) {
     const auto v = static_cast<VertexId>(rng.index(t.n()));
     const auto u = static_cast<VertexId>(rng.index(t.n()));
-    const VertexId w = t.lca(u, v);
+    const VertexId w = index.lca(u, v);
     for (const std::size_t i : L.occurrences(v)) {
       for (const std::size_t j : L.occurrences(u)) {
         const auto [a, b] = std::minmax(i, j);

@@ -1,6 +1,7 @@
 // LabeledTree construction, canonicalization, and rooted-view queries —
-// including cross-validation of LCA/distance/path against brute force on
-// random trees.
+// including cross-validation of path() and the diameter against BFS on
+// random trees. The lca / distance / median queries live in perf::TreeIndex
+// (tests/perf/tree_index_test.cpp).
 #include "trees/labeled_tree.h"
 
 #include <gtest/gtest.h>
@@ -25,7 +26,6 @@ TEST(LabeledTree, SingleVertex) {
   EXPECT_EQ(t.depth(0), 0u);
   EXPECT_EQ(t.diameter(), 0u);
   EXPECT_TRUE(t.children(0).empty());
-  EXPECT_EQ(t.distance(0, 0), 0u);
   EXPECT_EQ(t.path(0, 0), std::vector<VertexId>{0});
 }
 
@@ -88,9 +88,8 @@ TEST(LabeledTree, Figure3Structure) {
   EXPECT_EQ(t.parent(v2), v1);
   EXPECT_EQ(t.parent(v6), v3);
   EXPECT_EQ(t.depth(v6), 3u);
-  EXPECT_EQ(t.distance(v6, v8), 4u);
-  EXPECT_EQ(t.distance(v5, v6), 3u);
-  EXPECT_EQ(t.lca(v6, v8), v2);
+  EXPECT_EQ(t.path(v5, v6).size(), 4u);
+  EXPECT_EQ(t.path(v6, v8)[2], v2);  // the turn at lca(v6, v8)
   EXPECT_EQ(t.diameter(), 4u);
 }
 
@@ -108,22 +107,12 @@ TEST(LabeledTree, PathEndpointsAndAdjacency) {
   }
 }
 
-TEST(LabeledTree, MedianOfThree) {
-  const auto t = figure3();
-  const VertexId v2 = *t.find("v2");
-  const VertexId v5 = *t.find("v5");
-  const VertexId v6 = *t.find("v6");
-  const VertexId v8 = *t.find("v8");
-  // Paths v5-v6, v5-v8, v6-v8 all pass through v2.
-  EXPECT_EQ(t.median(v5, v6, v8), v2);
-  // Median with a repeated argument is that argument's projection.
-  EXPECT_EQ(t.median(v6, v6, v8), v6);
-}
-
 TEST(LabeledTree, VertexOutOfRangeThrows) {
   const auto t = figure3();
   EXPECT_THROW((void)t.label(99), std::invalid_argument);
-  EXPECT_THROW((void)t.distance(0, 99), std::invalid_argument);
+  EXPECT_THROW((void)t.depth(99), std::invalid_argument);
+  EXPECT_THROW((void)t.path(0, 99), std::invalid_argument);
+  EXPECT_THROW((void)t.path(99, 0), std::invalid_argument);
 }
 
 // --- Randomized cross-validation against BFS ------------------------------
@@ -147,17 +136,6 @@ std::vector<std::uint32_t> bfs_dist(const LabeledTree& t, VertexId src) {
 
 class LabeledTreeRandom : public ::testing::TestWithParam<std::uint64_t> {};
 
-TEST_P(LabeledTreeRandom, DistanceMatchesBfs) {
-  Rng rng(GetParam());
-  const auto t = make_random_tree(2 + rng.index(60), rng);
-  for (VertexId u = 0; u < t.n(); ++u) {
-    const auto dist = bfs_dist(t, u);
-    for (VertexId v = 0; v < t.n(); ++v) {
-      EXPECT_EQ(t.distance(u, v), dist[v]) << "u=" << u << " v=" << v;
-    }
-  }
-}
-
 TEST_P(LabeledTreeRandom, PathIsShortestAndSimple) {
   Rng rng(GetParam() ^ 0x1234);
   const auto t = make_random_tree(2 + rng.index(60), rng);
@@ -165,7 +143,7 @@ TEST_P(LabeledTreeRandom, PathIsShortestAndSimple) {
     const auto u = static_cast<VertexId>(rng.index(t.n()));
     const auto v = static_cast<VertexId>(rng.index(t.n()));
     const auto p = t.path(u, v);
-    EXPECT_EQ(p.size(), t.distance(u, v) + 1);
+    EXPECT_EQ(p.size(), bfs_dist(t, u)[v] + 1);
     EXPECT_EQ(p.front(), u);
     EXPECT_EQ(p.back(), v);
     std::vector<VertexId> sorted = p;
@@ -174,60 +152,16 @@ TEST_P(LabeledTreeRandom, PathIsShortestAndSimple) {
   }
 }
 
-TEST_P(LabeledTreeRandom, LcaIsDeepestCommonAncestor) {
-  Rng rng(GetParam() ^ 0x9999);
-  const auto t = make_random_tree(2 + rng.index(40), rng);
-  auto ancestors = [&](VertexId v) {
-    std::vector<VertexId> a;
-    for (VertexId x = v;; x = t.parent(x)) {
-      a.push_back(x);
-      if (x == t.root()) break;
-    }
-    return a;
-  };
-  for (int trial = 0; trial < 50; ++trial) {
-    const auto u = static_cast<VertexId>(rng.index(t.n()));
-    const auto v = static_cast<VertexId>(rng.index(t.n()));
-    const auto au = ancestors(u);
-    const auto av = ancestors(v);
-    VertexId best = t.root();
-    for (const VertexId x : au) {
-      if (std::find(av.begin(), av.end(), x) != av.end()) {
-        if (t.depth(x) > t.depth(best)) best = x;
-      }
-    }
-    EXPECT_EQ(t.lca(u, v), best);
-    EXPECT_TRUE(t.is_ancestor(best, u));
-    EXPECT_TRUE(t.is_ancestor(best, v));
-  }
-}
-
 TEST_P(LabeledTreeRandom, DiameterMatchesBruteForce) {
   Rng rng(GetParam() ^ 0xABCD);
   const auto t = make_random_tree(2 + rng.index(40), rng);
   std::uint32_t best = 0;
   for (VertexId u = 0; u < t.n(); ++u) {
-    for (VertexId v = 0; v < t.n(); ++v) {
-      best = std::max(best, t.distance(u, v));
-    }
+    for (const std::uint32_t d : bfs_dist(t, u)) best = std::max(best, d);
   }
   EXPECT_EQ(t.diameter(), best);
   const auto [a, b] = t.diameter_endpoints();
-  EXPECT_EQ(t.distance(a, b), best);
-}
-
-TEST_P(LabeledTreeRandom, MedianLiesOnAllThreePaths) {
-  Rng rng(GetParam() ^ 0x777);
-  const auto t = make_random_tree(2 + rng.index(40), rng);
-  for (int trial = 0; trial < 40; ++trial) {
-    const auto a = static_cast<VertexId>(rng.index(t.n()));
-    const auto b = static_cast<VertexId>(rng.index(t.n()));
-    const auto c = static_cast<VertexId>(rng.index(t.n()));
-    const VertexId m = t.median(a, b, c);
-    EXPECT_EQ(t.distance(a, m) + t.distance(m, b), t.distance(a, b));
-    EXPECT_EQ(t.distance(a, m) + t.distance(m, c), t.distance(a, c));
-    EXPECT_EQ(t.distance(b, m) + t.distance(m, c), t.distance(b, c));
-  }
+  EXPECT_EQ(bfs_dist(t, a)[b], best);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, LabeledTreeRandom,

@@ -6,6 +6,7 @@
 #include <algorithm>
 
 #include "common/rng.h"
+#include "perf/tree_index.h"
 #include "trees/generators.h"
 
 namespace treeaa {
@@ -150,16 +151,23 @@ TEST(Projection, Figure2WorkedExample) {
     p.push_back(*t.find(l));
   }
   ASSERT_TRUE(is_simple_path(t, p));
-  EXPECT_EQ(project_onto_path(t, p, *t.find("u1")), *t.find("v3"));
-  EXPECT_EQ(project_onto_path(t, p, *t.find("u2")), *t.find("v4"));
-  EXPECT_EQ(project_onto_path(t, p, *t.find("u3")), *t.find("v6"));
+  const perf::TreeIndex index(t);
+  const auto project = [&](const char* label) {
+    return index.project_onto_path(p.front(), p.back(), *t.find(label));
+  };
+  EXPECT_EQ(project("u1"), *t.find("v3"));
+  EXPECT_EQ(project("u2"), *t.find("v4"));
+  EXPECT_EQ(project("u3"), *t.find("v6"));
   // A vertex on the path projects to itself.
-  EXPECT_EQ(project_onto_path(t, p, *t.find("v5")), *t.find("v5"));
+  EXPECT_EQ(project("v5"), *t.find("v5"));
+  // The brute-force scan agrees on the worked example.
+  EXPECT_EQ(project_onto_path_bruteforce(t, p, *t.find("u2")), *t.find("v4"));
 }
 
 TEST(Projection, EmptyPathThrows) {
   const auto t = make_path(3);
-  EXPECT_THROW((void)project_onto_path(t, {}, 0), std::invalid_argument);
+  EXPECT_THROW((void)project_onto_path_bruteforce(t, {}, 0),
+               std::invalid_argument);
 }
 
 class ProjectionRandom : public ::testing::TestWithParam<std::uint64_t> {};
@@ -168,11 +176,12 @@ TEST_P(ProjectionRandom, MatchesBruteForce) {
   Rng rng(GetParam());
   for (int trial = 0; trial < 10; ++trial) {
     const auto t = make_random_tree(2 + rng.index(50), rng);
+    const perf::TreeIndex index(t);
     const auto a = static_cast<VertexId>(rng.index(t.n()));
     const auto b = static_cast<VertexId>(rng.index(t.n()));
     const auto p = t.path(a, b);
     for (VertexId v = 0; v < t.n(); ++v) {
-      const VertexId fast = project_onto_path(t, p, v);
+      const VertexId fast = index.project_onto_path(a, b, v);
       const VertexId slow = project_onto_path_bruteforce(t, p, v);
       // The minimizer is unique on a tree, so the two must agree exactly.
       EXPECT_EQ(fast, slow) << "v=" << v;
@@ -186,6 +195,7 @@ TEST_P(ProjectionRandom, Lemma1ProjectionInHull) {
   Rng rng(GetParam() ^ 0xE1);
   for (int trial = 0; trial < 10; ++trial) {
     const auto t = make_random_tree(2 + rng.index(40), rng);
+    const perf::TreeIndex index(t);
     std::vector<VertexId> s;
     for (int i = 0; i < 4; ++i) {
       s.push_back(static_cast<VertexId>(rng.index(t.n())));
@@ -194,7 +204,7 @@ TEST_P(ProjectionRandom, Lemma1ProjectionInHull) {
     const auto far_end = static_cast<VertexId>(rng.index(t.n()));
     const auto p = t.path(s[0], far_end);
     for (const VertexId v : s) {
-      const VertexId proj = project_onto_path(t, p, v);
+      const VertexId proj = index.project_onto_path(s[0], far_end, v);
       EXPECT_TRUE(in_hull(t, s, proj)) << "projection " << proj;
       EXPECT_NE(std::find(p.begin(), p.end(), proj), p.end());
     }

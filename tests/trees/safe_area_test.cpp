@@ -7,6 +7,7 @@
 #include <algorithm>
 
 #include "common/rng.h"
+#include "perf/tree_index.h"
 #include "trees/generators.h"
 #include "trees/paths.h"
 
@@ -147,10 +148,9 @@ TEST(SubtreeMidpoint, HalvesEccentricity) {
     std::vector<VertexId> area(t.n());
     for (VertexId v = 0; v < t.n(); ++v) area[v] = v;
     const VertexId mid = subtree_midpoint(t, area);
-    std::uint32_t ecc = 0;
-    for (VertexId v = 0; v < t.n(); ++v) {
-      ecc = std::max(ecc, t.distance(mid, v));
-    }
+    const perf::TreeIndex index(t);
+    const std::uint32_t ecc = index.max_pairwise_distance(
+        std::vector<VertexId>{mid}, area);
     EXPECT_LE(ecc, t.diameter() / 2 + 1);
   }
 }
