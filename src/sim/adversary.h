@@ -9,13 +9,22 @@
 // from corrupt parties, and (c) adaptively corrupt further parties up to
 // its budget t. Corrupting a party mid-round retracts the messages its
 // honest process just queued (the strongest reasonable semantics).
+//
+// The adversary phase may fan out on the engine's lanes: RoundView lends
+// the engine's worker pool through run_on_lanes (same static chunking as
+// the honest phases), so per-puppet work runs in parallel while everything
+// that touches the view or shared adversary state stays on the calling
+// thread, and executions remain byte-identical at any thread count.
 #pragma once
 
+#include <cstddef>
 #include <span>
 #include <vector>
 
 #include "common/bytes.h"
 #include "common/types.h"
+#include "perf/arena.h"
+#include "perf/parallel.h"
 #include "sim/envelope.h"
 
 namespace treeaa::sim {
@@ -41,11 +50,21 @@ class RoundView {
   /// first, in party order; then adversarial injections in send order).
   [[nodiscard]] std::span<const Envelope> queued() const;
 
-  /// Injects a message from a corrupt party. `from` must be corrupt.
-  void send(PartyId from, PartyId to, Bytes payload);
+  /// Injects a message from a corrupt party. `from` must be corrupt. A
+  /// forwarded envelope's payload moves through still shared (Bytes
+  /// converts implicitly); receivers only read it.
+  void send(PartyId from, PartyId to, perf::Payload payload);
 
-  /// Sends `payload` from a corrupt party to every party.
+  /// Sends `payload` from a corrupt party to every party, interned once and
+  /// shared across all n envelopes (like Mailer::broadcast).
   void broadcast(PartyId from, const Bytes& payload);
+
+  /// Runs `slice` over [0, count) on the engine's lanes, with the static
+  /// chunking of the honest phases; returns after every lane finished (the
+  /// lowest lane's exception is rethrown). At one lane it runs
+  /// slice(0, 0, count) inline. Slices must only touch per-index state: the
+  /// view itself is not safe to call from them.
+  void run_on_lanes(std::size_t count, const perf::WorkerPool::Slice& slice);
 
   /// Adaptively corrupts `p` (requires budget). The messages p queued this
   /// round are retracted and returned (so the adversary can selectively

@@ -21,7 +21,7 @@ std::size_t RoundView::corruption_budget_left() const {
 
 std::span<const Envelope> RoundView::queued() const { return engine_.queued_; }
 
-void RoundView::send(PartyId from, PartyId to, Bytes payload) {
+void RoundView::send(PartyId from, PartyId to, perf::Payload payload) {
   TREEAA_REQUIRE_MSG(engine_.is_corrupt(from),
                      "adversary can only send from corrupt parties (party "
                          << from << " is honest)");
@@ -29,9 +29,13 @@ void RoundView::send(PartyId from, PartyId to, Bytes payload) {
 }
 
 void RoundView::broadcast(PartyId from, const Bytes& payload) {
-  for (PartyId to = 0; to < engine_.n(); ++to) {
-    send(from, to, payload);
-  }
+  const perf::Payload shared{Bytes(payload)};
+  for (PartyId to = 0; to < engine_.n(); ++to) send(from, to, shared);
+}
+
+void RoundView::run_on_lanes(std::size_t count,
+                             const perf::WorkerPool::Slice& slice) {
+  engine_.run_on_lanes(count, slice);
 }
 
 std::vector<Envelope> RoundView::corrupt(PartyId p) {
@@ -114,7 +118,7 @@ std::vector<Envelope> Engine::corrupt_party(PartyId p) {
   return retracted;
 }
 
-void Engine::inject(PartyId from, PartyId to, Bytes payload) {
+void Engine::inject(PartyId from, PartyId to, perf::Payload payload) {
   TREEAA_REQUIRE(to < n());
   // Guard against memory bombs from fuzzing adversaries.
   TREEAA_REQUIRE_MSG(payload.size() <= (1u << 24),
@@ -282,32 +286,34 @@ void Engine::send_phase_parallel(Round r) {
   }
 }
 
+void Engine::run_on_lanes(std::size_t count,
+                          const perf::WorkerPool::Slice& slice) {
+  if (pool_) {
+    pool_.get()->run(count, slice);
+  } else if (count > 0) {
+    slice(0, 0, count);
+  }
+}
+
 // Hands every honest party its inbox slice. Parties only read their own
 // const slice and mutate their own process state, so the parallel fan-out
 // is race-free; per-party delivery order is fixed by the sort, so the
 // fan-out cannot reorder anything observable.
 void Engine::delivery_phase(Round r) {
-  const auto deliver_to = [&](PartyId p, std::size_t lane) {
-    if (tracer_ != nullptr) tracer_->on_party_begin(p, r, Phase::kHandle, lane);
-    processes_[p]->on_round_end(
-        r, std::span<const Envelope>(delivery_.data() + inbox_offsets_[p],
-                                     inbox_offsets_[p + 1] -
-                                         inbox_offsets_[p]));
-    if (tracer_ != nullptr) tracer_->on_party_end(p, r, Phase::kHandle, lane);
-  };
-  if (threads_ > 1) {
-    pool_.get()->run(
-        n(), [&](std::size_t lane, std::size_t begin, std::size_t end) {
-          for (std::size_t i = begin; i < end; ++i) {
-            const PartyId p = static_cast<PartyId>(i);
-            if (!corrupt_[p]) deliver_to(p, lane);
-          }
-        });
-  } else {
-    for (PartyId p = 0; p < n(); ++p) {
-      if (!corrupt_[p]) deliver_to(p, 0);
+  run_on_lanes(n(), [&](std::size_t lane, std::size_t begin, std::size_t end) {
+    for (std::size_t i = begin; i < end; ++i) {
+      const PartyId p = static_cast<PartyId>(i);
+      if (corrupt_[p]) continue;
+      if (tracer_ != nullptr) {
+        tracer_->on_party_begin(p, r, Phase::kHandle, lane);
+      }
+      processes_[p]->on_round_end(
+          r, std::span<const Envelope>(delivery_.data() + inbox_offsets_[p],
+                                       inbox_offsets_[p + 1] -
+                                           inbox_offsets_[p]));
+      if (tracer_ != nullptr) tracer_->on_party_end(p, r, Phase::kHandle, lane);
     }
-  }
+  });
 }
 
 }  // namespace treeaa::sim

@@ -9,7 +9,9 @@
 // Round r proceeds as:
 //   1. send phase   — every honest Process::on_round_begin(r) queues traffic;
 //   2. adversary    — Adversary::act sees all queued traffic (rushing), may
-//                     inject corrupt messages and adaptively corrupt;
+//                     inject corrupt messages and adaptively corrupt; it may
+//                     fan per-puppet work out on the engine's lanes through
+//                     RoundView::run_on_lanes;
 //   3. delivery     — every party's inbox (sorted by sender) is handed to
 //                     Process::on_round_end(r); corrupt parties receive
 //                     nothing (their behaviour is the adversary's).
@@ -17,10 +19,11 @@
 // Everything is deterministic given the processes and the adversary, so any
 // execution reproduces exactly — including at EngineOptions::threads > 1,
 // where the send and delivery phases fan honest parties out over a worker
-// pool with static chunking. Each send lane stages its messages, and the
-// engine merges the staging in lane order after the pool's barrier, so
-// queued-message order, the adversary's rushing view, traces, stats, and
-// every report are byte-identical to the serial engine (docs/PERF.md).
+// pool with static chunking (the adversary may borrow the same lanes). Each
+// send lane stages its messages, and the engine merges the staging in lane
+// order after the pool's barrier, so queued-message order, the adversary's
+// rushing view, traces, stats, and every report are byte-identical to the
+// serial engine (docs/PERF.md).
 #pragma once
 
 #include <memory>
@@ -39,9 +42,10 @@
 namespace treeaa::sim {
 
 struct EngineOptions {
-  /// Worker lanes for the honest send and delivery phases. 1 (the default)
-  /// runs fully serial; 0 means one lane per hardware thread. Any value
-  /// produces byte-identical executions — threads only change wall-clock.
+  /// Worker lanes for the honest send and delivery phases, lent to the
+  /// adversary through RoundView::run_on_lanes. 1 (the default) runs fully
+  /// serial; 0 means one lane per hardware thread. Any value produces
+  /// byte-identical executions — threads only change wall-clock.
   std::size_t threads = 1;
 };
 
@@ -95,7 +99,10 @@ class Engine {
   friend class RoundView;
 
   std::vector<Envelope> corrupt_party(PartyId p);
-  void inject(PartyId from, PartyId to, Bytes payload);
+  void inject(PartyId from, PartyId to, perf::Payload payload);
+  /// The honest phases' fan-out, lent to the adversary by RoundView: the
+  /// pool at more than one lane, slice(0, 0, count) inline otherwise.
+  void run_on_lanes(std::size_t count, const perf::WorkerPool::Slice& slice);
   void send_phase(Round r);
   void send_phase_parallel(Round r);
   void delivery_phase(Round r);

@@ -9,9 +9,9 @@
 // The payload is a refcounted copy-on-write handle (perf::Payload) so a
 // broadcast's n envelopes share one byte buffer. The handle converts
 // implicitly to `const Bytes&` and to a byte span, so receivers read it
-// like a plain buffer; anything that wants to own or mutate the bytes calls
-// payload.take() / payload.mutable_bytes(), which detach a private copy if
-// the buffer is shared.
+// like a plain buffer; anything that wants to mutate the bytes calls
+// payload.mutable_bytes(), which detaches a private copy if the buffer is
+// shared. Forwarding an envelope (RoundView::send) moves the handle along.
 #pragma once
 
 #include "common/bytes.h"

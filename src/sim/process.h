@@ -23,8 +23,8 @@ namespace treeaa::sim {
 
 /// Collects one party's outgoing messages for the current round into a plain
 /// vector: queued_ in the serial engine, the lane's staging vector in the
-/// parallel one. Messages land in exact send order, which the byte-identity
-/// contract depends on.
+/// parallel one, a puppet's outbox in PuppetAdversary. Messages land in
+/// exact send order, which the byte-identity contract depends on.
 class Mailer {
  public:
   /// `pool` (optional) recycles payload control blocks and capacity; the

@@ -24,7 +24,7 @@ void CrashAdversary::act(RoundView& view) {
     const auto kept = static_cast<std::size_t>(
         c.delivered_fraction * static_cast<double>(retracted.size()));
     for (std::size_t i = 0; i < std::min(kept, retracted.size()); ++i) {
-      view.send(c.party, retracted[i].to, retracted[i].payload.take());
+      view.send(c.party, retracted[i].to, std::move(retracted[i].payload));
     }
   }
 }
@@ -85,10 +85,23 @@ void ReplayAdversary::act(RoundView& view) {
 }
 
 PuppetAdversary::PuppetAdversary(std::vector<Puppet> puppets)
-    : puppets_(std::move(puppets)) {}
+    : puppets_(std::move(puppets)),
+      outboxes_(puppets_.size()),
+      inboxes_(puppets_.size()) {
+  std::vector<PartyId> parties;
+  for (const Puppet& p : puppets_) parties.push_back(p.party);
+  std::sort(parties.begin(), parties.end());
+  const auto dup = std::adjacent_find(parties.begin(), parties.end());
+  TREEAA_REQUIRE_MSG(dup == parties.end(),
+                     "two puppets for party " << *dup);
+}
 
 void PuppetAdversary::init(RoundView& view) {
-  for (const Puppet& p : puppets_) view.corrupt(p.party);
+  slot_.assign(view.n(), puppets_.size());
+  for (std::size_t i = 0; i < puppets_.size(); ++i) {
+    view.corrupt(puppets_[i].party);
+    slot_[puppets_[i].party] = i;
+  }
 }
 
 std::function<bool(const Envelope&)> PuppetAdversary::random_drops(
@@ -102,32 +115,50 @@ std::function<bool(const Envelope&)> PuppetAdversary::random_drops(
 }
 
 void PuppetAdversary::act(RoundView& view) {
-  ++local_round_;
-  // Send phase: puppets queue their messages like honest parties would,
-  // minus whatever their omission filter swallows.
-  for (Puppet& p : puppets_) {
-    std::vector<Envelope> outbox;
-    Mailer mailer(p.party, view.n(), outbox, view.round());
-    p.process->on_round_begin(local_round_, mailer);
-    for (Envelope& e : outbox) {
+  const Round r = ++local_round_;
+  const Round wire_round = view.round();
+  const std::size_t n = view.n();
+  // Send phase: every puppet queues into its own outbox on a lane, like an
+  // honest party. The outboxes merge here in puppet order, minus whatever
+  // the omission filter swallows; filters may share an RNG, so they only
+  // run on this thread.
+  view.run_on_lanes(
+      puppets_.size(), [&](std::size_t, std::size_t begin, std::size_t end) {
+        for (std::size_t i = begin; i < end; ++i) {
+          Mailer mailer(puppets_[i].party, n, outboxes_[i], wire_round);
+          puppets_[i].process->on_round_begin(r, mailer);
+        }
+      });
+  for (std::size_t i = 0; i < puppets_.size(); ++i) {
+    Puppet& p = puppets_[i];
+    for (Envelope& e : outboxes_[i]) {
       if (p.send_filter && !p.send_filter(e)) continue;
-      view.send(p.party, e.to, e.payload.take());
+      view.send(p.party, e.to, std::move(e.payload));
     }
+    outboxes_[i].clear();
   }
   // Delivery phase: after the sends above, this round's traffic is final
-  // (the adversary acts last), so puppet inboxes can be assembled now. The
-  // honest processes receive the identical set after act() returns.
-  for (Puppet& p : puppets_) {
-    std::vector<Envelope> inbox;
-    for (const Envelope& e : view.queued()) {
-      if (e.to == p.party) inbox.push_back(e);
-    }
-    std::stable_sort(inbox.begin(), inbox.end(),
-                     [](const Envelope& a, const Envelope& b) {
-                       return a.from < b.from;
-                     });
-    p.process->on_round_end(local_round_, inbox);
+  // (the adversary acts last), so one pass over it fills every puppet's
+  // inbox. The honest processes receive the identical set after act()
+  // returns.
+  for (const Envelope& e : view.queued()) {
+    const std::size_t i = slot_[e.to];
+    if (i < puppets_.size()) inboxes_[i].push_back(e);
   }
+  view.run_on_lanes(
+      puppets_.size(), [&](std::size_t, std::size_t begin, std::size_t end) {
+        for (std::size_t i = begin; i < end; ++i) {
+          std::vector<Envelope>& inbox = inboxes_[i];
+          std::stable_sort(inbox.begin(), inbox.end(),
+                           [](const Envelope& a, const Envelope& b) {
+                             return a.from < b.from;
+                           });
+          puppets_[i].process->on_round_end(r, inbox);
+          // Drop the shared payload references before the link layer and
+          // the engine's arenas see this round's traffic.
+          inbox.clear();
+        }
+      });
 }
 
 ComposedAdversary::ComposedAdversary(

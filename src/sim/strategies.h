@@ -89,6 +89,11 @@ class ReplayAdversary final : public Adversary {
 /// far outside the honest range, the classic validity attack. The puppets
 /// run inside the adversary with full delivery, so they are indistinguishable
 /// from honest parties on the wire.
+///
+/// Both halves of a puppet round run on the engine's lanes
+/// (RoundView::run_on_lanes), so puppet Processes must be lane-safe like
+/// honest ones. The outboxes are merged in puppet order on the calling
+/// thread, which is also the only place send filters run.
 class PuppetAdversary final : public Adversary {
  public:
   struct Puppet {
@@ -106,12 +111,19 @@ class PuppetAdversary final : public Adversary {
   [[nodiscard]] static std::function<bool(const Envelope&)> random_drops(
       double drop_probability, std::uint64_t seed);
 
+  /// At most one puppet per party.
   explicit PuppetAdversary(std::vector<Puppet> puppets);
   void init(RoundView& view) override;
   void act(RoundView& view) override;
 
  private:
   std::vector<Puppet> puppets_;
+  // Per-puppet scratch, index-aligned with puppets_ and kept across rounds
+  // for its capacity: the puppet's sends, then its delivered traffic.
+  std::vector<std::vector<Envelope>> outboxes_;
+  std::vector<std::vector<Envelope>> inboxes_;
+  // slot_[p]: index in puppets_ of party p's puppet, or puppets_.size().
+  std::vector<std::size_t> slot_;
   Round local_round_ = 0;
 };
 

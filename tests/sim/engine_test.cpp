@@ -205,7 +205,7 @@ class MidRunCorruptor final : public Adversary {
     auto retracted = view.corrupt(2);
     retracted_count_ = retracted.size();
     if (!retracted.empty()) {
-      view.send(2, retracted[0].to, retracted[0].payload.take());
+      view.send(2, retracted[0].to, std::move(retracted[0].payload));
     }
   }
   std::size_t retracted_count_ = 0;

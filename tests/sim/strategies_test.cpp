@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <stdexcept>
 
 #include "sim/engine.h"
 
@@ -134,6 +135,16 @@ TEST(PuppetAdversary, PuppetsSendAndReceiveLikeHonestParties) {
   // ...and the puppet received the full round traffic itself.
   EXPECT_EQ(proc_ptr->rounds_seen_, 3u);
   EXPECT_EQ(proc_ptr->last_inbox_size_, 4u);
+}
+
+// Puppet inboxes are filled through a party -> puppet slot map, which
+// holds one puppet per party.
+TEST(PuppetAdversary, RejectsTwoPuppetsForOneParty) {
+  std::vector<PuppetAdversary::Puppet> puppets;
+  puppets.push_back({2, std::make_unique<TaggedProcess>(0x01), nullptr});
+  puppets.push_back({3, std::make_unique<TaggedProcess>(0x02), nullptr});
+  puppets.push_back({2, std::make_unique<TaggedProcess>(0x03), nullptr});
+  EXPECT_THROW(PuppetAdversary(std::move(puppets)), std::invalid_argument);
 }
 
 TEST(ComposedAdversary, RunsAllParts) {

@@ -1,18 +1,23 @@
 // The parallel engine's determinism contract at the engine level: traces,
 // stats, and received bytes are byte-identical at any EngineOptions::threads
-// value (also when whole lanes stage nothing), a throwing party surfaces the
-// same exception as in the serial engine, and broadcast-shared payloads
-// never alias through a corrupting link layer.
+// value (also when whole lanes stage nothing or puppets run on the lanes), a
+// throwing party surfaces the same exception as in the serial engine, and
+// broadcast-shared payloads never alias through a corrupting link layer.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "common/rng.h"
+#include "harness/runner.h"
+#include "obs/report.h"
+#include "realaa/real_aa.h"
 #include "sim/engine.h"
 #include "sim/strategies.h"
 #include "sim/trace.h"
@@ -228,48 +233,224 @@ TEST(EngineThreads, SendPhaseExceptionSurfacesLowestPartyAtEveryThreadCount) {
   }
 }
 
+struct PuppetRun {
+  std::string report;
+  std::vector<std::optional<double>> outputs;
+  std::vector<std::vector<double>> histories;
+  std::vector<std::vector<std::uint64_t>> per_round;
+};
+
+/// RealAA at n = 64, t = 21 against t extreme-input RealAA puppets — the
+/// e2e realaa_wide shape. With `drops`, every puppet shares one random-drop
+/// filter, so the filter's RNG draw order is part of what must not move.
+PuppetRun run_puppets(std::size_t threads, bool drops) {
+  realaa::Config cfg;
+  cfg.n = 64;
+  cfg.t = 21;
+  cfg.eps = 1.0;
+  cfg.known_range = 4.0;
+  Rng rng(5);
+  const auto inputs = harness::random_real_inputs(cfg.n, 0.0, 4.0, rng);
+  const auto victims = random_parties(cfg.n, cfg.t, rng);
+  std::unique_ptr<Adversary> adversary;
+  if (drops) {
+    const auto filter = PuppetAdversary::random_drops(0.3, /*seed=*/17);
+    std::vector<PuppetAdversary::Puppet> puppets;
+    for (std::size_t i = 0; i < victims.size(); ++i) {
+      puppets.push_back(PuppetAdversary::Puppet{
+          victims[i],
+          std::make_unique<realaa::RealAAProcess>(cfg, victims[i],
+                                                  i % 2 == 0 ? -4.0 : 8.0),
+          filter});
+    }
+    adversary = std::make_unique<PuppetAdversary>(std::move(puppets));
+  } else {
+    adversary = harness::make_extreme_input_puppets(cfg, victims, -4.0, 8.0);
+  }
+  obs::RunReport report;
+  obs::Hooks hooks;
+  hooks.report = &report;
+  const harness::RealRun run = harness::run_real_aa(
+      cfg, inputs, std::move(adversary), &hooks, threads);
+  PuppetRun out;
+  out.report = report.to_json(/*include_timings=*/false);
+  out.outputs = run.outputs;
+  out.histories = run.histories;
+  for (const RoundTraffic& rt : run.traffic.per_round) {
+    out.per_round.push_back({rt.honest_messages, rt.honest_bytes,
+                             rt.adversary_messages, rt.adversary_bytes});
+  }
+  return out;
+}
+
+// Puppets are honest RealAA code driven by the adversary; however their
+// work is spread over the engine's lanes, outputs, per-round traffic and
+// report bytes match the serial engine.
+TEST(EngineThreads, PuppetRunsIdenticalAcrossThreadCounts) {
+  for (const bool drops : {false, true}) {
+    const PuppetRun serial = run_puppets(1, drops);
+    ASSERT_FALSE(serial.per_round.empty());
+    EXPECT_GT(serial.per_round.front()[2], 0u) << "puppets must inject";
+    for (const std::size_t threads : {2u, 3u, 8u}) {
+      const PuppetRun parallel = run_puppets(threads, drops);
+      EXPECT_EQ(parallel.report, serial.report)
+          << "threads=" << threads << " drops=" << drops;
+      EXPECT_EQ(parallel.outputs, serial.outputs);
+      EXPECT_EQ(parallel.histories, serial.histories);
+      EXPECT_EQ(parallel.per_round, serial.per_round);
+    }
+  }
+}
+
+/// Throws from one step of one round; otherwise broadcasts its party id.
+class ThrowingPuppet final : public Process {
+ public:
+  enum class Step { kNone, kBegin, kEnd };
+  struct When {
+    Step step = Step::kNone;
+    Round round = 0;
+  };
+
+  ThrowingPuppet(PartyId self, When when) : self_(self), when_(when) {}
+
+  void on_round_begin(Round r, Mailer& out) override {
+    if (when_.step == Step::kBegin && r == when_.round) fail();
+    out.broadcast(Bytes{static_cast<std::uint8_t>(self_)});
+  }
+  void on_round_end(Round r, std::span<const Envelope>) override {
+    if (when_.step == Step::kEnd && r == when_.round) fail();
+  }
+
+ private:
+  [[noreturn]] void fail() const {
+    throw std::runtime_error("puppet " + std::to_string(self_));
+  }
+
+  PartyId self_;
+  When when_;
+};
+
+// Puppet steps run on the engine's lanes, yet a throwing puppet surfaces
+// from Engine::run at every thread count, and when two throw, the lowest
+// puppet's exception wins — also when the higher one throws in an earlier
+// step of the same round or both sit on different lanes of one dispatch.
+TEST(EngineThreads, PuppetExceptionSurfacesLowestPuppetAtEveryThreadCount) {
+  using Step = ThrowingPuppet::Step;
+  using When = ThrowingPuppet::When;
+  const std::vector<std::pair<When, When>> cases = {
+      {{Step::kBegin, 2}, {Step::kEnd, 2}},
+      {{Step::kEnd, 2}, {Step::kBegin, 3}},
+      {{Step::kBegin, 2}, {Step::kBegin, 2}},
+      {{Step::kEnd, 2}, {Step::kEnd, 2}},
+  };
+  // Puppets 1 and 3 (parties 2 and 6) throw; they land on different lanes
+  // at 2, 3 and 9 lanes.
+  const std::vector<PartyId> victims = {1, 2, 4, 6, 7};
+  for (const auto& [low, high] : cases) {
+    for (const std::size_t threads : {1u, 2u, 3u, 9u}) {
+      Engine engine(9, 5, EngineOptions{threads});
+      for (PartyId p = 0; p < 9; ++p) {
+        engine.set_process(p, std::make_unique<ChattyProcess>(p));
+      }
+      std::vector<PuppetAdversary::Puppet> puppets;
+      for (std::size_t i = 0; i < victims.size(); ++i) {
+        const When when = i == 1 ? low : i == 3 ? high : When{};
+        puppets.push_back(
+            {victims[i], std::make_unique<ThrowingPuppet>(victims[i], when),
+             nullptr});
+      }
+      engine.set_adversary(
+          std::make_unique<PuppetAdversary>(std::move(puppets)));
+      try {
+        engine.run(4);
+        FAIL() << "expected an exception, threads=" << threads;
+      } catch (const std::runtime_error& e) {
+        EXPECT_STREQ(e.what(), "puppet 2") << "threads=" << threads;
+      }
+    }
+  }
+}
+
 /// Flips the first byte of every message addressed to party 0 — through
 /// the COW handle, exactly like the net fault layer's corrupt-link path.
+/// Records whether `sender`'s message to party 0 arrived shared.
 class CorruptForPartyZero final : public LinkLayer {
  public:
+  explicit CorruptForPartyZero(PartyId sender) : sender_(sender) {}
+
   std::vector<Envelope> deliver(Round, std::vector<Envelope> queued) override {
     for (Envelope& e : queued) {
       if (e.to == 0 && !e.payload.empty()) {
+        if (e.from == sender_) sender_payload_shared = e.payload.shared();
         e.payload.mutable_bytes()[0] ^= 0xFF;
       }
     }
     return queued;
   }
+
+  bool sender_payload_shared = false;
+
+ private:
+  PartyId sender_;
 };
 
-// A broadcast's payload is one shared buffer across all n envelopes; a
-// corrupt link that rewrites party 0's copy must detach, never alias —
-// parties 1..n-1 see pristine bytes, at every thread count.
-TEST(EngineThreads, CorruptLinkDetachesSharedBroadcastPayloads) {
-  for (const std::size_t threads : {1u, 4u}) {
-    Engine engine(6, 1, EngineOptions{threads});
-    std::vector<ChattyProcess*> procs;
-    for (PartyId p = 0; p < 6; ++p) {
-      auto proc = std::make_unique<ChattyProcess>(p);
-      procs.push_back(proc.get());
-      engine.set_process(p, std::move(proc));
-    }
-    CorruptForPartyZero link;
-    engine.set_link_layer(&link);
-    engine.run(1);
+/// Corrupts `party` and broadcasts a ChattyProcess-shaped round-1 message
+/// from it through RoundView::broadcast.
+class BroadcastingAdversary final : public Adversary {
+ public:
+  explicit BroadcastingAdversary(PartyId party) : party_(party) {}
+  void init(RoundView& view) override { view.corrupt(party_); }
+  void act(RoundView& view) override {
+    view.broadcast(party_, Bytes{1, static_cast<std::uint8_t>(party_), 0xAD});
+  }
 
-    for (PartyId p = 0; p < 6; ++p) {
-      ASSERT_FALSE(procs[p]->received_.empty());
-      for (const auto& [from, bytes] : procs[p]->received_) {
-        if (bytes.size() != 3) continue;  // unicast 0xEE probe
-        if (p == 0) {
-          EXPECT_EQ(bytes[0], 1 ^ 0xFF)
-              << "party 0's copy must carry the corruption";
-        } else {
-          EXPECT_EQ(bytes[0], 1)
-              << "party " << p << " saw party 0's corruption (aliasing!)"
-              << " threads=" << threads;
+ private:
+  PartyId party_;
+};
+
+// A broadcast's payload is one shared buffer across all n envelopes —
+// whether an honest Mailer or the adversary's RoundView sent it; a corrupt
+// link that rewrites party 0's copy must detach, never alias — the other
+// recipients see pristine bytes, at every thread count.
+TEST(EngineThreads, CorruptLinkDetachesSharedBroadcastPayloads) {
+  constexpr PartyId kCorrupt = 5;
+  for (const bool adversarial : {false, true}) {
+    for (const std::size_t threads : {1u, 4u}) {
+      Engine engine(6, 1, EngineOptions{threads});
+      std::vector<ChattyProcess*> procs;
+      for (PartyId p = 0; p < 6; ++p) {
+        auto proc = std::make_unique<ChattyProcess>(p);
+        procs.push_back(proc.get());
+        engine.set_process(p, std::move(proc));
+      }
+      if (adversarial) {
+        engine.set_adversary(std::make_unique<BroadcastingAdversary>(kCorrupt));
+      }
+      CorruptForPartyZero link(kCorrupt);
+      engine.set_link_layer(&link);
+      engine.run(1);
+      if (adversarial) {
+        EXPECT_TRUE(link.sender_payload_shared)
+            << "RoundView::broadcast must intern its payload once";
+      }
+
+      for (PartyId p = 0; p < 6; ++p) {
+        if (engine.is_corrupt(p)) continue;
+        ASSERT_FALSE(procs[p]->received_.empty());
+        std::size_t from_corrupt = 0;
+        for (const auto& [from, bytes] : procs[p]->received_) {
+          if (bytes.size() != 3) continue;  // unicast 0xEE probe
+          if (from == kCorrupt) ++from_corrupt;
+          if (p == 0) {
+            EXPECT_EQ(bytes[0], 1 ^ 0xFF)
+                << "party 0's copy must carry the corruption";
+          } else {
+            EXPECT_EQ(bytes[0], 1)
+                << "party " << p << " saw party 0's corruption (aliasing!)"
+                << " threads=" << threads << " adversarial=" << adversarial;
+          }
         }
+        EXPECT_EQ(from_corrupt, 1u) << "party " << p;
       }
     }
   }
