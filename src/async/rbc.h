@@ -15,7 +15,9 @@
 // tag); embed one per process and feed it every incoming RBC message.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
+#include <cstring>
 #include <map>
 #include <optional>
 #include <vector>
@@ -25,6 +27,18 @@
 #include "common/types.h"
 
 namespace treeaa::async {
+
+/// Orders exactly like std::less<Bytes> (bytes compared as unsigned over
+/// the common prefix, then the shorter first), spelled as a memcmp: GCC 12
+/// reports a false -Wstringop-overread inside vector's operator<=> in
+/// Release builds.
+struct BytesLess {
+  bool operator()(const Bytes& a, const Bytes& b) const {
+    const std::size_t common = std::min(a.size(), b.size());
+    const int order = common == 0 ? 0 : std::memcmp(a.data(), b.data(), common);
+    return order != 0 ? order < 0 : a.size() < b.size();
+  }
+};
 
 /// Leading byte of every RBC message; hosts dispatch on it.
 inline constexpr std::uint8_t kRbcInit = 0x01;
@@ -66,8 +80,8 @@ class RbcHub {
     bool delivered = false;
     std::vector<bool> echo_from;   // who already echoed (one vote each)
     std::vector<bool> ready_from;  // who already sent ready
-    std::map<Bytes, std::size_t> echo_count;
-    std::map<Bytes, std::size_t> ready_count;
+    std::map<Bytes, std::size_t, BytesLess> echo_count;
+    std::map<Bytes, std::size_t, BytesLess> ready_count;
   };
 
   Instance& instance(PartyId broadcaster, std::uint64_t tag);

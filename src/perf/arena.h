@@ -47,7 +47,7 @@ struct PayloadRep {
 /// A refcounted, copy-on-write handle around a message payload. Copying a
 /// Payload shares the underlying bytes (a reference-count bump, no byte
 /// copy); reads are always safe on shared handles, and every mutating entry
-/// point (mutable_bytes, take) detaches an unshared copy first.
+/// point (mutable_bytes) detaches an unshared copy first.
 class Payload {
  public:
   Payload() = default;
@@ -124,20 +124,6 @@ class Payload {
       rep_ = detached;
     }
     return rep_->bytes;
-  }
-
-  /// Moves the bytes out when this handle is the sole owner; copies (and
-  /// releases the shared reference) otherwise. The handle is empty after.
-  [[nodiscard]] Bytes take() {
-    if (rep_ == nullptr) return {};
-    Bytes out;
-    if (rep_->refs.load(std::memory_order_acquire) == 1) {
-      out = std::move(rep_->bytes);
-    } else {
-      out = rep_->bytes;
-    }
-    release(nullptr);
-    return out;
   }
 
  private:

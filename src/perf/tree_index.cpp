@@ -24,18 +24,26 @@ constexpr VertexId key_vertex(std::uint64_t key) {
 TreeIndex::TreeIndex(const LabeledTree& tree) : tree_(&tree), euler_(tree) {
   const auto tour = euler_.raw();
   const std::size_t m = tour.size();
+  // A backward scan leaves each vertex's smallest position.
   first_.resize(tree.n());
-  for (VertexId v = 0; v < tree.n(); ++v) {
-    first_[v] = static_cast<std::uint32_t>(euler_.first_occurrence(v) - 1);
+  for (std::size_t k = m; k-- > 0;) {
+    first_[tour[k]] = static_cast<std::uint32_t>(k);
   }
   tour_key_.resize(m);
   for (std::size_t k = 0; k < m; ++k) {
     tour_key_[k] = std::uint64_t{tree.depth(tour[k])} << 32 | tour[k];
   }
 
-  // In-block min-stacks, one left-to-right scan per block. An entry pops
-  // every larger key, so the lowest stack bit at or after a is the leftmost
-  // minimum of [a, k].
+  // In-block min-stacks, one left-to-right scan per block; the lowest stack
+  // bit at or after a is the leftmost minimum of [a, k]. Tour depths move
+  // by ±1, so no entry needs a pop loop. An up step (one deeper) pops
+  // nothing: its key exceeds the top's. A down step at k returns from
+  // c = tour[k−1] to its parent p, whose previous occurrence is at
+  // first(c) − 1. Every entry after that position is in c's subtree, deeper
+  // than p, and pops; the occurrence itself has p's key and stays, and so
+  // does everything below it. So on a down step mask[k] is mask[k−1] cut to
+  // the bits before first(c) (none if first(c) is at or before the block
+  // start) plus bit k; the two cases are blended without a branch.
   stack_mask_.resize(m);
   blocks_ = (m + kBlock - 1) / kBlock;
   const auto levels = static_cast<std::size_t>(std::bit_width(blocks_));
@@ -43,14 +51,15 @@ TreeIndex::TreeIndex(const LabeledTree& tree) : tree_(&tree), euler_(tree) {
   for (std::size_t b = 0; b < blocks_; ++b) {
     const std::size_t lo = b * kBlock;
     const std::size_t hi = std::min(m, lo + kBlock);
-    std::uint64_t stack = 0;
-    for (std::size_t k = lo; k < hi; ++k) {
-      while (stack != 0) {
-        const auto top = static_cast<std::size_t>(std::bit_width(stack)) - 1;
-        if (tour_key_[lo + top] <= tour_key_[k]) break;
-        stack ^= std::uint64_t{1} << top;
-      }
-      stack |= std::uint64_t{1} << (k - lo);
+    std::uint64_t stack = 1;
+    stack_mask_[lo] = stack;
+    for (std::size_t k = lo + 1; k < hi; ++k) {
+      const std::uint64_t down = tour_key_[k] < tour_key_[k - 1];
+      const std::size_t below =
+          std::max<std::size_t>(first_[tour[k - 1]], lo) - lo;
+      // All ones on an up step, the bits under `below` on a down step.
+      const std::uint64_t keep = ((std::uint64_t{1} << below) - 1) | (down - 1);
+      stack = (stack & keep) | std::uint64_t{1} << (k - lo);
       stack_mask_[k] = stack;
     }
     block_min_[b] = tour_key_[lo + static_cast<std::size_t>(

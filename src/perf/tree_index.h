@@ -7,11 +7,16 @@
 // TreeIndex builds both in O(n):
 //
 //   * the Euler list (ListConstruction, shared with the protocols so the
-//     list is built once per experiment instead of once per subsystem);
+//     list is built once per experiment instead of once per subsystem).
+//     No DFS runs: by Lemma 2 the list is a function of the ordered rooted
+//     tree, so EulerList places every entry from subtree sizes over
+//     LabeledTree's flat BFS order and yields the paper's DFS list exactly;
 //   * a linear RMQ over the tour depths: a sparse table over 64-entry
 //     blocks plus, per tour position, a 64-bit mask of the in-block
-//     min-stack. A query reads at most two masks and two table cells, so
-//     lca, distance, depth, ancestor and median queries are O(1);
+//     min-stack. Tour depths move by ±1, so each mask follows from the
+//     previous one and the parent's earlier occurrence with no pop loop.
+//     A query reads at most two masks and two table cells, so lca,
+//     distance, depth, ancestor and median queries are O(1);
 //   * root-anchored path materialization with a single exact-size
 //     allocation — the paths PathsFinder and TreeAA produce are always
 //     anchored at the root, so a path is just the ancestor chain reversed
@@ -35,8 +40,8 @@ namespace treeaa::perf {
 
 class TreeIndex {
  public:
-  /// Builds the index: one DFS for the Euler list plus the O(n) block RMQ.
-  /// `tree` must outlive the index.
+  /// Builds the index: the Euler list plus the O(n) block RMQ, each in a
+  /// few linear passes. `tree` must outlive the index.
   explicit TreeIndex(const LabeledTree& tree);
 
   [[nodiscard]] const LabeledTree& tree() const { return *tree_; }

@@ -5,8 +5,20 @@
 namespace treeaa {
 
 EulerList::EulerList(const LabeledTree& tree) {
+  // No DFS runs. Lemma 2 fixes the list by the ordered rooted tree alone:
+  // the subtree of v fills the contiguous block of 2·size(v) − 1 entries
+  // starting at first(v), which opens with v, then holds each child's block
+  // in id order, each followed by v again. So subtree sizes place every
+  // entry directly.
   const std::size_t n = tree.n();
-  list_.reserve(2 * n - 1);
+  const auto order = tree.bfs_order();
+
+  // Subtree sizes, children before parents: one reverse pass over the BFS
+  // order.
+  std::vector<std::uint32_t> size(n, 1);
+  for (std::size_t i = n; i-- > 1;) {
+    size[tree.parent(order[i])] += size[order[i]];
+  }
 
   // v is recorded once on entry and once after each child returns, so L(v)
   // has 1 + |children(v)| entries and the flat layout is known up front.
@@ -17,33 +29,26 @@ EulerList::EulerList(const LabeledTree& tree) {
         occurrence_offsets_[v] + 1 + tree.children(v).size();
   }
   occurrence_positions_.resize(occurrence_offsets_[n]);
+  list_.resize(2 * n - 1);
 
-  // Iterative DFS; `next_child[v]` is the index of the next unvisited child
-  // and therefore also the number of v's occurrences recorded after entry.
-  std::vector<std::size_t> next_child(n, 0);
-  std::vector<VertexId> stack;
-  const auto record = [&](VertexId v) {
-    list_.push_back(v);
-    occurrence_positions_[occurrence_offsets_[v] + next_child[v]] =
-        list_.size();
-  };
-  stack.push_back(tree.root());
-  record(tree.root());
-
-  while (!stack.empty()) {
-    const VertexId v = stack.back();
-    const auto kids = tree.children(v);
-    if (next_child[v] < kids.size()) {
-      const VertexId c = kids[next_child[v]++];
-      stack.push_back(c);
-      record(c);
-    } else {
-      stack.pop_back();
-      if (!stack.empty()) record(stack.back());
+  // One forward pass: parents come first in the BFS order, so first(v) is
+  // known by the time v lays out its own block. `pos` is 0-based; L(v)
+  // stores 1-based indices, in ascending order as the block is filled.
+  std::vector<std::size_t> first(n);
+  first[tree.root()] = 0;
+  for (const VertexId v : order) {
+    std::size_t pos = first[v];
+    std::size_t* occ = &occurrence_positions_[occurrence_offsets_[v]];
+    list_[pos] = v;
+    *occ++ = pos + 1;
+    ++pos;
+    for (const VertexId c : tree.children(v)) {
+      first[c] = pos;
+      pos += 2 * std::size_t{size[c]};
+      list_[pos - 1] = v;
+      *occ++ = pos;
     }
   }
-
-  TREEAA_CHECK(list_.size() == 2 * n - 1);
 }
 
 VertexId EulerList::at(std::size_t i) const {

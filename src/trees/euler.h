@@ -11,6 +11,14 @@
 // honest party computes the identical list — the property PathsFinder
 // depends on.
 //
+// This class builds that same list without the DFS. By Lemma 2 the list is
+// a function of the ordered rooted tree: the subtree of v fills one block
+// of 2|sub(v)| − 1 consecutive entries, v first and v again after each
+// child's block. So one reverse pass over LabeledTree::bfs_order() computes
+// subtree sizes, and one forward pass writes every entry and every
+// occurrence set at its final position. Both routes give the identical list;
+// tests/trees/euler_test.cpp checks it against a recursive ListConstruction.
+//
 // Indices are 1-based to match the paper's notation L_1 .. L_|L|.
 #pragma once
 

@@ -67,28 +67,29 @@ void LabeledTree::build_rooted_view() {
   const std::size_t n = this->n();
   parent_.assign(n, kNoVertex);
   depth_.assign(n, 0);
-  children_.assign(n, {});
+  child_range_.assign(n, {0, 0});
+  bfs_order_.clear();
+  bfs_order_.reserve(n);
 
-  // Iterative BFS from the root; adjacency is sorted, so children end up
-  // sorted by id as well.
+  // Iterative BFS from the root with bfs_order_ as its queue. Dequeuing v
+  // appends all of v's children at once, ascending by id (adjacency is
+  // sorted), so they form one contiguous run of the order.
   std::vector<bool> seen(n, false);
-  std::deque<VertexId> queue{root()};
+  bfs_order_.push_back(root());
   seen[root()] = true;
-  std::size_t visited = 0;
-  while (!queue.empty()) {
-    const VertexId v = queue.front();
-    queue.pop_front();
-    ++visited;
+  for (std::size_t head = 0; head < bfs_order_.size(); ++head) {
+    const VertexId v = bfs_order_[head];
+    const auto begin = static_cast<std::uint32_t>(bfs_order_.size());
     for (const VertexId w : adj_[v]) {
       if (seen[w]) continue;
       seen[w] = true;
       parent_[w] = v;
       depth_[w] = depth_[v] + 1;
-      children_[v].push_back(w);
-      queue.push_back(w);
+      bfs_order_.push_back(w);
     }
+    child_range_[v] = {begin, static_cast<std::uint32_t>(bfs_order_.size())};
   }
-  TREEAA_REQUIRE_MSG(visited == n, "edge list is not connected");
+  TREEAA_REQUIRE_MSG(bfs_order_.size() == n, "edge list is not connected");
 }
 
 void LabeledTree::compute_diameter() {
@@ -135,21 +136,6 @@ std::span<const VertexId> LabeledTree::neighbors(VertexId v) const {
   return adj_[v];
 }
 
-VertexId LabeledTree::parent(VertexId v) const {
-  require_vertex(v);
-  return parent_[v];
-}
-
-std::uint32_t LabeledTree::depth(VertexId v) const {
-  require_vertex(v);
-  return depth_[v];
-}
-
-std::span<const VertexId> LabeledTree::children(VertexId v) const {
-  require_vertex(v);
-  return children_[v];
-}
-
 std::vector<VertexId> LabeledTree::path(VertexId u, VertexId v) const {
   require_vertex(u);
   require_vertex(v);
@@ -172,7 +158,7 @@ std::vector<VertexId> LabeledTree::path(VertexId u, VertexId v) const {
   return head;
 }
 
-void LabeledTree::require_vertex(VertexId v) const {
+void LabeledTree::reject_vertex(VertexId v) const {
   TREEAA_REQUIRE_MSG(v < n(), "vertex id " << v << " out of range (n = "
                                            << n() << ")");
 }

@@ -14,6 +14,14 @@
 //   * the rooted view (parent / depth / children) and the diameter are
 //     precomputed.
 //
+// The rooted view is flat. One BFS from the root fixes bfs_order(), in
+// which every parent precedes its children; the children of each vertex are
+// one contiguous, ascending run of that order, so children(v) is a slice of
+// it (a CSR whose id array is the BFS order itself). By Lemma 2 the Euler
+// list is a function of this ordered rooted tree alone, which is what lets
+// EulerList place every entry from subtree sizes instead of running the
+// paper's DFS: both yield the same list.
+//
 // LabeledTree holds no LCA table: lca / distance / median queries go through
 // perf::TreeIndex (the Euler list plus an O(n) RMQ), and path() walks parent
 // pointers. The class is immutable after construction, which is exactly the
@@ -66,13 +74,30 @@ class LabeledTree {
   [[nodiscard]] VertexId root() const { return 0; }
 
   /// Parent of v in the rooted view; kNoVertex for the root.
-  [[nodiscard]] VertexId parent(VertexId v) const;
+  [[nodiscard]] VertexId parent(VertexId v) const {
+    require_vertex(v);
+    return parent_[v];
+  }
 
   /// Depth of v (root has depth 0).
-  [[nodiscard]] std::uint32_t depth(VertexId v) const;
+  [[nodiscard]] std::uint32_t depth(VertexId v) const {
+    require_vertex(v);
+    return depth_[v];
+  }
 
   /// Children of v in the rooted view, sorted ascending by id.
-  [[nodiscard]] std::span<const VertexId> children(VertexId v) const;
+  [[nodiscard]] std::span<const VertexId> children(VertexId v) const {
+    require_vertex(v);
+    const auto [begin, end] = child_range_[v];
+    return std::span<const VertexId>(bfs_order_).subspan(begin, end - begin);
+  }
+
+  /// Every vertex once, in BFS order from the root with children in
+  /// ascending id order: each parent comes before its children, so a
+  /// reverse walk visits children before parents.
+  [[nodiscard]] std::span<const VertexId> bfs_order() const {
+    return bfs_order_;
+  }
 
   /// The unique path P(u, v) as a vertex sequence starting at u and ending
   /// at v (inclusive). For u == v this is the single-vertex path. A parent
@@ -88,10 +113,15 @@ class LabeledTree {
   }
 
   /// Validates v < n(), throwing std::invalid_argument otherwise.
-  void require_vertex(VertexId v) const;
+  void require_vertex(VertexId v) const {
+    if (v >= n()) [[unlikely]] reject_vertex(v);
+  }
 
  private:
   LabeledTree() = default;
+
+  /// The throw behind require_vertex, kept out of line.
+  [[gnu::cold, gnu::noinline]] void reject_vertex(VertexId v) const;
 
   void build_rooted_view();
   void compute_diameter();
@@ -106,7 +136,9 @@ class LabeledTree {
   std::vector<std::vector<VertexId>> adj_;              // sorted neighbor ids
   std::vector<VertexId> parent_;
   std::vector<std::uint32_t> depth_;
-  std::vector<std::vector<VertexId>> children_;
+  std::vector<VertexId> bfs_order_;
+  // children(v) is bfs_order_[child_range_[v].first, .second).
+  std::vector<std::pair<std::uint32_t, std::uint32_t>> child_range_;
   std::uint32_t diameter_ = 0;
   std::pair<VertexId, VertexId> diameter_ends_{0, 0};
 };

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <deque>
-#include <numeric>
 
 #include "common/check.h"
 
@@ -40,15 +39,11 @@ std::vector<VertexId> tree_center(const LabeledTree& tree) {
 
 std::vector<VertexId> tree_centroid(const LabeledTree& tree) {
   const std::size_t n = tree.n();
-  // subtree_size via children-before-parents order.
-  std::vector<VertexId> order(n);
-  std::iota(order.begin(), order.end(), 0);
-  std::sort(order.begin(), order.end(), [&](VertexId x, VertexId y) {
-    return tree.depth(x) > tree.depth(y);
-  });
+  // subtree_size, children before parents: the BFS order reversed.
+  const auto order = tree.bfs_order();
   std::vector<std::size_t> size(n, 1);
-  for (const VertexId v : order) {
-    if (v != tree.root()) size[tree.parent(v)] += size[v];
+  for (std::size_t i = n; i-- > 1;) {
+    size[tree.parent(order[i])] += size[order[i]];
   }
   std::vector<std::size_t> worst(n, 0);
   for (VertexId v = 0; v < n; ++v) {

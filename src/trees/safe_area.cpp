@@ -24,15 +24,11 @@ std::vector<VertexId> safe_area(const LabeledTree& tree,
     ++mult[v];
   }
 
-  // Subtree counts, children before parents (order by decreasing depth).
-  std::vector<VertexId> order(n);
-  std::iota(order.begin(), order.end(), 0);
-  std::sort(order.begin(), order.end(), [&](VertexId a, VertexId b) {
-    return tree.depth(a) > tree.depth(b);
-  });
+  // Subtree counts, children before parents: the BFS order reversed.
+  const auto order = tree.bfs_order();
   std::vector<std::size_t> cnt = mult;
-  for (const VertexId v : order) {
-    if (v != tree.root()) cnt[tree.parent(v)] += cnt[v];
+  for (std::size_t i = n; i-- > 1;) {
+    cnt[tree.parent(order[i])] += cnt[order[i]];
   }
   TREEAA_CHECK(cnt[tree.root()] == total);
 

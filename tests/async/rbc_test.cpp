@@ -4,7 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <map>
+
+#include "common/rng.h"
 
 namespace treeaa::async {
 namespace {
@@ -172,6 +175,24 @@ TEST(Rbc, TagCapDropsSpam) {
 TEST(Rbc, RejectsBadParameters) {
   EXPECT_THROW(RbcHub(0, 3, 1), std::invalid_argument);
   EXPECT_THROW(RbcHub(4, 4, 1), std::invalid_argument);
+}
+
+TEST(RbcBytesLess, OrdersLikeStdLess) {
+  // Empty, prefixes of each other, and bytes above 0x7F (unsigned order).
+  std::vector<Bytes> values = {{}, {0}, {0, 0}, {1}, {0x7F}, {0x80}, {0xFF},
+                               {0xFF, 0}, {1, 2}, {1, 2, 3}, {1, 2, 4}};
+  Rng rng(5);
+  for (int i = 0; i < 200; ++i) {
+    Bytes b(rng.index(5));
+    for (auto& byte : b) byte = static_cast<std::uint8_t>(rng.index(256));
+    values.push_back(std::move(b));
+  }
+  const BytesLess less;
+  for (const Bytes& a : values) {
+    for (const Bytes& b : values) {
+      EXPECT_EQ(less(a, b), std::less<Bytes>{}(a, b));
+    }
+  }
 }
 
 }  // namespace

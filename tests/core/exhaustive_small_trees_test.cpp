@@ -6,6 +6,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
+#include <utility>
 
 #include "core/api.h"
 #include "harness/runner.h"
@@ -20,7 +22,9 @@ LabeledTree tree_from_pruefer(const std::vector<std::size_t>& code,
                               std::size_t k) {
   std::vector<std::string> labels;
   for (std::size_t i = 0; i < k; ++i) {
-    labels.push_back("v" + std::to_string(i));
+    std::string label = "v";
+    label += std::to_string(i);
+    labels.push_back(std::move(label));
   }
   std::vector<std::size_t> deg(k, 1);
   for (const std::size_t x : code) ++deg[x];

@@ -1,7 +1,7 @@
 // Payload / PayloadPool: refcounted sharing, copy-on-write detachment,
-// take() semantics, control-block recycling, and the Mailer broadcast
-// interning that motivates the whole design (one byte buffer shared by all
-// n envelopes of a broadcast).
+// control-block recycling, and the Mailer broadcast interning that
+// motivates the whole design (one byte buffer shared by all n envelopes of
+// a broadcast).
 #include "perf/arena.h"
 
 #include <gtest/gtest.h>
@@ -52,18 +52,6 @@ TEST(Payload, MutableBytesDetachesSharedHandles) {
   const std::uint8_t* before = b.data();
   b.mutable_bytes()[1] = 9;
   EXPECT_EQ(b.data(), before);
-}
-
-TEST(Payload, TakeMovesWhenUniqueCopiesWhenShared) {
-  Payload unique(Bytes{5, 6});
-  EXPECT_EQ(unique.take(), (Bytes{5, 6}));
-  EXPECT_EQ(unique.use_count(), 0u) << "take() empties the handle";
-
-  Payload a(Bytes{3, 4});
-  Payload b = a;
-  EXPECT_EQ(b.take(), (Bytes{3, 4}));
-  EXPECT_EQ(a.bytes(), (Bytes{3, 4})) << "shared take() must not steal";
-  EXPECT_EQ(a.use_count(), 1u);
 }
 
 TEST(PayloadPool, RecyclesControlBlocks) {

@@ -156,5 +156,65 @@ INSTANTIATE_TEST_SUITE_P(Seeds, EulerProperty,
                          ::testing::Values(11, 22, 33, 44, 55, 66, 77, 88,
                                            99, 110));
 
+// ListConstruction exactly as the paper writes it: record v, then for each
+// neighbour other than the one we came from, in ascending label order,
+// recurse and record v again. Reads only neighbors(), not the rooted view.
+void list_construction(const LabeledTree& t, VertexId v, VertexId from,
+                       std::vector<VertexId>& out) {
+  out.push_back(v);
+  for (const VertexId w : t.neighbors(v)) {
+    if (w == from) continue;
+    list_construction(t, w, v, out);
+    out.push_back(v);
+  }
+}
+
+void expect_matches_reference(const LabeledTree& t) {
+  std::vector<VertexId> ref;
+  list_construction(t, t.root(), kNoVertex, ref);
+  std::vector<std::vector<std::size_t>> ref_occ(t.n());
+  for (std::size_t i = 0; i < ref.size(); ++i) {
+    ref_occ[ref[i]].push_back(i + 1);
+  }
+
+  const EulerList L(t);
+  const auto raw = L.raw();
+  ASSERT_EQ(std::vector<VertexId>(raw.begin(), raw.end()), ref)
+      << "n = " << t.n();
+  for (VertexId v = 0; v < t.n(); ++v) {
+    const auto occ = L.occurrences(v);
+    ASSERT_EQ(std::vector<std::size_t>(occ.begin(), occ.end()), ref_occ[v])
+        << "n = " << t.n() << ", vertex " << v;
+  }
+}
+
+TEST(EulerReference, EveryFamilyAtSmallSizes) {
+  Rng rng(2024);
+  expect_matches_reference(LabeledTree::single("a"));
+  for (const TreeFamily f : all_tree_families()) {
+    for (std::size_t n = 2; n <= 40; ++n) {
+      SCOPED_TRACE(tree_family_name(f));
+      expect_matches_reference(make_family_tree(f, n, rng));
+    }
+  }
+  for (std::size_t n = 1; n <= 40; ++n) {
+    expect_matches_reference(make_random_chainy_tree(n, rng, 0.7));
+    expect_matches_reference(make_broom(1 + n / 2, n / 2));
+  }
+}
+
+TEST(EulerReference, LargeTrees) {
+  constexpr std::size_t n = 4096;
+  for (const std::uint64_t seed : {1u, 2u, 3u}) {
+    Rng rng(seed);
+    expect_matches_reference(make_random_tree(n, rng));
+  }
+  for (const std::size_t legs : {1u, 2u, 3u}) {
+    expect_matches_reference(make_caterpillar(n / (1 + legs), legs));
+  }
+  expect_matches_reference(make_path(n));
+  expect_matches_reference(make_star(n));
+}
+
 }  // namespace
 }  // namespace treeaa

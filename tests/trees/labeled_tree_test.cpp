@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <deque>
+#include <string>
 
 #include "common/rng.h"
 #include "trees/generators.h"
@@ -113,6 +114,68 @@ TEST(LabeledTree, VertexOutOfRangeThrows) {
   EXPECT_THROW((void)t.depth(99), std::invalid_argument);
   EXPECT_THROW((void)t.path(0, 99), std::invalid_argument);
   EXPECT_THROW((void)t.path(99, 0), std::invalid_argument);
+
+  // The rooted-view queries name the bad id and n in the message.
+  const auto expect_message = [](const auto& query) {
+    try {
+      query();
+      ADD_FAILURE() << "no exception";
+    } catch (const std::invalid_argument& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("REQUIRE failed: (v < n())"), std::string::npos)
+          << what;
+      EXPECT_NE(what.find("vertex id 8 out of range (n = 8)"),
+                std::string::npos)
+          << what;
+    }
+  };
+  expect_message([&] { (void)t.children(8); });
+  expect_message([&] { (void)t.parent(8); });
+  expect_message([&] { (void)t.depth(8); });
+}
+
+// The flat rooted view: children(v) is an ascending run whose parent is v,
+// and bfs_order() lists every vertex once, each after its parent.
+void expect_flat_view(const LabeledTree& t) {
+  std::size_t child_total = 0;
+  for (VertexId v = 0; v < t.n(); ++v) {
+    const auto kids = t.children(v);
+    EXPECT_TRUE(std::is_sorted(kids.begin(), kids.end())) << "vertex " << v;
+    for (const VertexId c : kids) {
+      EXPECT_EQ(t.parent(c), v);
+      EXPECT_EQ(t.depth(c), t.depth(v) + 1);
+    }
+    child_total += kids.size();
+  }
+  EXPECT_EQ(child_total, t.n() - 1);
+
+  const auto order = t.bfs_order();
+  ASSERT_EQ(order.size(), t.n());
+  EXPECT_EQ(order.front(), t.root());
+  std::vector<std::size_t> rank(t.n(), t.n());
+  for (std::size_t i = 0; i < order.size(); ++i) {
+    ASSERT_LT(order[i], t.n());
+    EXPECT_EQ(rank[order[i]], t.n()) << "vertex " << order[i] << " twice";
+    rank[order[i]] = i;
+  }
+  for (VertexId v = 0; v < t.n(); ++v) {
+    if (v == t.root()) continue;
+    EXPECT_LT(rank[t.parent(v)], rank[v]) << "vertex " << v;
+  }
+}
+
+TEST(LabeledTree, FlatRootedView) {
+  expect_flat_view(LabeledTree::single("only"));
+  expect_flat_view(figure3());
+  Rng rng(77);
+  for (const TreeFamily f : all_tree_families()) {
+    for (const std::size_t n : {2u, 3u, 17u, 64u, 200u}) {
+      SCOPED_TRACE(tree_family_name(f));
+      expect_flat_view(make_family_tree(f, n, rng));
+    }
+  }
+  expect_flat_view(make_random_tree(4096, rng));
+  expect_flat_view(make_caterpillar(2048, 1));
 }
 
 // --- Randomized cross-validation against BFS ------------------------------
