@@ -1,9 +1,10 @@
 // Allocation-light buffers for the simulator's message hot path.
 //
 // Every simulated message owns a heap-allocated payload, and the engine
-// delivered each round into a fresh vector-of-vectors of inboxes — at n^2
-// messages per round that allocation traffic dominates
-// bench_sim_throughput. The engine keeps capacity alive across rounds:
+// once delivered each round into a fresh vector-of-vectors of inboxes — at
+// n^2 messages per round that allocation traffic dominated a full run (the
+// realaa_wide workload of e2e_bench/ is that case). The engine keeps
+// capacity alive across rounds:
 //
 //   * Payload is a refcounted, copy-on-write handle around Bytes. A
 //     broadcast interns its payload once and shares the handle across all

@@ -115,6 +115,7 @@ TEST(GradecastWireFuzz, SlotsEncodingGoldenBytes) {
 // slot body; bodies straddling the one-to-two-byte varint length boundary
 // (127/128) must round-trip exactly, through both the owning and the
 // zero-copy decoder, with the message exactly as long as its layout.
+// A 64-slot echo, half values and half ⊥, must too.
 TEST(GradecastWireFuzz, SlotBodiesRoundTripAtEverySize) {
   for (std::size_t len = 0; len <= 300; ++len) {
     Bytes body(len);
@@ -141,6 +142,28 @@ TEST(GradecastWireFuzz, SlotBodiesRoundTripAtEverySize) {
     // Views alias the message buffer rather than copying out of it.
     EXPECT_GE(views[0]->data(), msg.data());
     EXPECT_LE(views[2]->data() + views[2]->size(), msg.data() + msg.size());
+  }
+
+  // A wide echo: 64 slots, every other one a 24-byte value, the rest ⊥.
+  std::vector<Slot> echo(64);
+  Rng rng(0xC0DEC);
+  for (std::size_t i = 0; i < echo.size(); i += 2) {
+    Bytes value(24);
+    for (auto& b : value) b = static_cast<std::uint8_t>(rng.index(256));
+    echo[i] = std::move(value);
+  }
+  const Bytes msg = encode_slots(kTagEcho, echo);
+  EXPECT_EQ(msg.size(), 1 + 1 + 32 * (1 + 1 + 24) + 32);
+  ASSERT_EQ(decode_slots(kTagEcho, msg, echo.size()), echo);
+  std::vector<SlotView> views(echo.size());
+  ASSERT_TRUE(decode_slots_view(kTagEcho, msg, views));
+  for (std::size_t i = 0; i < echo.size(); ++i) {
+    ASSERT_EQ(views[i].has_value(), echo[i].has_value()) << "slot " << i;
+    if (echo[i].has_value()) {
+      EXPECT_TRUE(std::equal(views[i]->begin(), views[i]->end(),
+                             echo[i]->begin(), echo[i]->end()))
+          << "slot " << i;
+    }
   }
 }
 

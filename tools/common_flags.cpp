@@ -1,5 +1,7 @@
 #include "common_flags.h"
 
+#include <charconv>
+
 namespace treeaa::tools {
 
 namespace {
@@ -10,6 +12,22 @@ const std::string& next_value(const std::vector<std::string>& args,
   return args[++i];
 }
 
+/// Reads the value after flag args[i] as a whole decimal integer. A sign,
+/// any other stray character or an overflow calls `fail` naming the flag.
+template <typename T>
+T next_unsigned(const std::vector<std::string>& args, std::size_t& i,
+                const UsageFn& fail) {
+  const std::string& flag = args[i];
+  const std::string& text = next_value(args, i, fail);
+  T value{};
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (ec != std::errc() || ptr != end) {
+    fail(flag + " expects a non-negative integer");
+  }
+  return value;
+}
+
 }  // namespace
 
 bool parse_common_flag(const std::vector<std::string>& args, std::size_t& i,
@@ -17,12 +35,12 @@ bool parse_common_flag(const std::vector<std::string>& args, std::size_t& i,
                        const UsageFn& fail) {
   const std::string& arg = args[i];
   if (set.seed && arg == "--seed") {
-    flags.seed = std::stoull(next_value(args, i, fail));
+    flags.seed = next_unsigned<std::uint64_t>(args, i, fail);
     flags.seed_set = true;
     return true;
   }
   if (set.threads && arg == "--threads") {
-    flags.threads = std::stoul(next_value(args, i, fail));
+    flags.threads = next_unsigned<std::size_t>(args, i, fail);
     return true;
   }
   if (set.metrics && arg == "--metrics") {
@@ -63,22 +81,6 @@ bool parse_common_flag(const std::vector<std::string>& args, std::size_t& i,
     flags.quiet = true;
     return true;
   }
-  if (set.bench_gate && (arg == "--out" || arg == "--metrics")) {
-    flags.out_path = next_value(args, i, fail);
-    return true;
-  }
-  if (set.bench_gate && arg == "--check-against") {
-    flags.check_against = next_value(args, i, fail);
-    return true;
-  }
-  if (set.bench_gate && arg == "--max-regression") {
-    flags.max_regression_pct = std::stod(next_value(args, i, fail));
-    return true;
-  }
-  if (set.bench_gate && arg == "--reps-scale") {
-    flags.reps_scale = std::stod(next_value(args, i, fail));
-    return true;
-  }
   return false;
 }
 
@@ -97,10 +99,6 @@ std::string common_flags_usage(const CommonFlagSet& set) {
   if (set.spans) add("[--spans <file|->]");
   if (set.timings) add("[--timings]");
   if (set.quiet) add("[--quiet]");
-  if (set.bench_gate) {
-    add("[--out <file|->] [--check-against <baseline.json>]");
-    add("[--max-regression <pct>] [--reps-scale <x>]");
-  }
   return out;
 }
 

@@ -34,10 +34,6 @@ struct CommonFlagSet {
   bool spans = false;        // --spans <file|->
   bool timings = false;      // --timings
   bool quiet = false;        // --quiet
-  /// The perf-gate vocabulary shared by the pinned benchmarks:
-  /// --out (alias --metrics), --check-against, --max-regression,
-  /// --reps-scale. Mutually exclusive with `metrics` (both claim --metrics).
-  bool bench_gate = false;
 };
 
 /// Parsed values, defaulted exactly as the tools always defaulted them.
@@ -55,10 +51,6 @@ struct CommonFlags {
   std::string spans_path;
   bool timings = false;
   bool quiet = false;
-  std::string out_path;            // --out / --metrics (bench_gate)
-  std::string check_against;       // --check-against <baseline.json>
-  double max_regression_pct = 25;  // --max-regression <pct>
-  double reps_scale = 1.0;         // --reps-scale <x>
 };
 
 /// The tool's usage() — prints and exits, never returns.
@@ -67,7 +59,8 @@ using UsageFn = std::function<void(const std::string&)>;
 /// Tries to consume args[i] (and its value, advancing i) as one of the
 /// enabled shared flags. Returns true when consumed; false when args[i] is
 /// not a shared flag (the tool's chain continues). Malformed values call
-/// `fail` with the historical message.
+/// `fail` with the historical message; --seed and --threads take a whole
+/// non-negative decimal integer that fits its field, nothing else.
 bool parse_common_flag(const std::vector<std::string>& args, std::size_t& i,
                        const CommonFlagSet& set, CommonFlags& flags,
                        const UsageFn& fail);
