@@ -16,6 +16,7 @@
 #include <string>
 
 #include "common/table.h"
+#include "common_flags.h"
 #include "core/api.h"
 #include "harness/runner.h"
 #include "obs/bench_report.h"
@@ -114,6 +115,10 @@ void adversarial_traffic_table(obs::BenchReporter& reporter,
 int main(int argc, char** argv) {
   obs::BenchReporter reporter("message_complexity", argc, argv);
   std::size_t threads = 1;
+  const tools::UsageFn fail = [](const std::string& m) {
+    std::cerr << m << "\n";
+    std::exit(2);
+  };
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     auto next = [&]() -> std::string {
@@ -124,7 +129,7 @@ int main(int argc, char** argv) {
       return argv[++i];
     };
     if (arg == "--threads") {
-      threads = std::strtoull(next().c_str(), nullptr, 10);
+      threads = tools::parse_unsigned(arg, next(), fail);
     } else if (arg == "--metrics") {
       next();  // consumed by the BenchReporter above
     } else {

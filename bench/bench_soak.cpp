@@ -25,6 +25,7 @@
 
 #include "obs/bench_report.h"
 #include "common/table.h"
+#include "common_flags.h"
 #include "core/api.h"
 #include "harness/runner.h"
 #include "realaa/adversaries.h"
@@ -79,6 +80,10 @@ int main(int argc, char** argv) {
   obs::BenchReporter reporter("soak", argc, argv);
   std::size_t runs_per_family = 250;
   std::size_t threads = 1;
+  const tools::UsageFn fail = [](const std::string& m) {
+    std::cerr << m << "\n";
+    std::exit(2);
+  };
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     auto next = [&]() -> std::string {
@@ -89,9 +94,9 @@ int main(int argc, char** argv) {
       return argv[++i];
     };
     if (arg == "--runs") {
-      runs_per_family = std::strtoull(next().c_str(), nullptr, 10);
+      runs_per_family = tools::parse_unsigned(arg, next(), fail);
     } else if (arg == "--threads") {
-      threads = std::strtoull(next().c_str(), nullptr, 10);
+      threads = tools::parse_unsigned(arg, next(), fail);
     } else if (arg == "--metrics") {
       next();  // consumed by the BenchReporter above
     } else {

@@ -53,7 +53,7 @@ std::optional<Decoded> decode(PartyId from, const Bytes& msg,
 RbcHub::RbcHub(PartyId self, std::size_t n, std::size_t t)
     : self_(self), n_(n), t_(t) {
   TREEAA_REQUIRE(self < n);
-  TREEAA_REQUIRE_MSG(n > 3 * t, "RBC requires t < n/3");
+  TREEAA_REQUIRE_MSG(fault_bound_holds(n, t), "RBC requires t < n/3");
 }
 
 RbcHub::Instance& RbcHub::instance(PartyId broadcaster, std::uint64_t tag) {

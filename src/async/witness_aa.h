@@ -102,7 +102,7 @@ class WitnessAAProcess : public AsyncProcess {
         self_(self),
         value_(std::move(input)),
         rbc_(self, n, t) {
-    TREEAA_REQUIRE(n > 3 * t);
+    TREEAA_REQUIRE(fault_bound_holds(n, t));
     states_.resize(iterations_);
     if (iterations_ == 0) {
       output_ = value_;

@@ -21,7 +21,7 @@ IteratedRealAAProcess::IteratedRealAAProcess(const IteratedRealConfig& config,
       iterations_(config.iterations()),
       self_(self),
       value_(input) {
-  TREEAA_REQUIRE(config.n > 3 * config.t);
+  TREEAA_REQUIRE(fault_bound_holds(config.n, config.t));
   TREEAA_REQUIRE(self < config.n);
   history_.push_back(value_);
   if (iterations_ == 0) output_ = value_;

@@ -42,7 +42,7 @@ IteratedTreeAAProcess::IteratedTreeAAProcess(const LabeledTree& tree,
       iterations_(config.iterations(tree)),
       self_(self),
       value_(input) {
-  TREEAA_REQUIRE(config.n > 3 * config.t);
+  TREEAA_REQUIRE(fault_bound_holds(config.n, config.t));
   TREEAA_REQUIRE(self < config.n);
   tree.require_vertex(input);
   history_.push_back(value_);

@@ -1,6 +1,7 @@
 // Shared elementary types used across the treeaa library.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <limits>
 
@@ -19,5 +20,12 @@ using VertexId = std::uint32_t;
 
 inline constexpr VertexId kNoVertex = std::numeric_limits<VertexId>::max();
 inline constexpr PartyId kNoParty = std::numeric_limits<PartyId>::max();
+
+/// The resilience bound n > 3t, written as t <= (n - 1) / 3 so that no t
+/// (a hostile one off the wire included) can wrap 3t around. False for
+/// n == 0.
+[[nodiscard]] constexpr bool fault_bound_holds(std::size_t n, std::size_t t) {
+  return n > 0 && t <= (n - 1) / 3;
+}
 
 }  // namespace treeaa

@@ -136,9 +136,9 @@ RunResult run_tree_aa(const LabeledTree& tree,
                       const obs::Hooks* hooks,
                       sim::EngineOptions engine_opts) {
   const std::size_t n = inputs.size();
-  TREEAA_REQUIRE_MSG(n > 3 * t, "TreeAA requires n > 3t (n = " << n
-                                                               << ", t = " << t
-                                                               << ")");
+  TREEAA_REQUIRE_MSG(fault_bound_holds(n, t),
+                     "TreeAA requires n > 3t (n = " << n << ", t = " << t
+                                                    << ")");
   for (const VertexId v : inputs) tree.require_vertex(v);
 
   obs::RunReport* report = hooks != nullptr ? hooks->report : nullptr;

@@ -165,7 +165,7 @@ Ledger build_ledger(const LedgerInput& input) {
 
   const bool check_monotone = is_gradecast_real(input.protocol);
   const bool check_envelope =
-      is_gradecast_real(input.protocol) && input.n > 3 * input.t;
+      is_gradecast_real(input.protocol) && fault_bound_holds(input.n, input.t);
   std::size_t expansion_rows = 0;
   std::size_t envelope_rows = 0;
 

@@ -3,22 +3,18 @@
 #include <algorithm>
 #include <chrono>
 #include <memory>
+#include <optional>
 #include <stdexcept>
 #include <utility>
 
-#include "baselines/iterated_real_aa.h"
-#include "perf/parallel.h"
-#include "baselines/iterated_tree_aa.h"
 #include "bounds/fekete.h"
 #include "common/rng.h"
-#include "core/api.h"
-#include "core/paths_finder.h"
-#include "graphs/block_aa.h"
-#include "graphs/check.h"
+#include "graphs/block_index.h"
 #include "graphs/generators.h"
 #include "harness/adversary_spec.h"
 #include "harness/runner.h"
 #include "obs/probe.h"
+#include "perf/parallel.h"
 #include "sim/strategies.h"
 #include "sim/trace.h"
 #include "trees/generators.h"
@@ -74,258 +70,101 @@ std::vector<PartyId> last_parties(std::size_t n, std::size_t k) {
   return out;
 }
 
-/// Draws the randomness of a silent/fuzz spec in the exact historical
-/// order: victims first, then (fuzz only) the payload seed.
-void draw_spec_randomness(harness::AdversarySpec& spec, std::size_t n,
-                          std::size_t t, Rng& adv_rng) {
+/// The cell's adversary, with its randomness drawn in the exact historical
+/// order: victims first, then (fuzz only) the payload seed. The split
+/// attacks aim at the registry's split target and corrupt the last t
+/// parties, the lower-bound argument's static corruption set.
+std::unique_ptr<sim::Adversary> make_cell_adversary(
+    const Cell& cell, const harness::RunSpec& rs, Rng& adv_rng) {
+  if (const auto issue = harness::validate_axes(cell.protocol, cell.n, cell.t,
+                                                cell.adversary)) {
+    throw std::invalid_argument(issue->detail);
+  }
+  harness::AdversarySpec spec;
+  spec.kind = cell.adversary;
   if (spec.kind == AdversaryKind::kSilent ||
       spec.kind == AdversaryKind::kFuzz) {
-    spec.victims = sim::random_parties(n, t, adv_rng);
+    spec.victims = sim::random_parties(cell.n, cell.t, adv_rng);
   }
   if (spec.kind == AdversaryKind::kFuzz) spec.fuzz_seed = adv_rng.next();
-}
-
-/// The adversary for a vertex-protocol cell, built through the registry.
-/// The split attack targets the inner RealAA of PathsFinder (phase 1), so
-/// its Config comes from core::paths_finder_config and its victims are the
-/// last t parties — the lower-bound argument's static corruption set
-/// (matching bench usage).
-std::unique_ptr<sim::Adversary> make_vertex_adversary(const Cell& cell,
-                                                      const LabeledTree& tree,
-                                                      Rng& adv_rng) {
-  if (!harness::adversary_applies(cell.protocol, cell.adversary) ||
-      !is_vertex_protocol(cell.protocol)) {
-    throw std::invalid_argument("adversary does not apply to vertex protocol");
-  }
-  harness::AdversarySpec spec;
-  spec.kind = cell.adversary;
-  draw_spec_randomness(spec, cell.n, cell.t, adv_rng);
-  if (cell.adversary == AdversaryKind::kSplit) {
-    core::PathsFinderOptions pf;
-    pf.update = cell.update;
-    pf.mode = cell.mode;
-    pf.engine = cell.engine;
-    spec.split_config = core::paths_finder_config(tree, cell.n, cell.t, pf);
+  if (spec.kind == AdversaryKind::kSplit ||
+      spec.kind == AdversaryKind::kSplit1) {
+    spec.split_config = harness::split_target(rs).value();
     spec.victims = last_parties(cell.n, cell.t);
   }
   return harness::make_adversary(spec);
 }
 
-/// The adversary for a graph-protocol cell. The split attack targets the
-/// inner RealAA of BlockAA's PathsFinder, which runs on the agreement tree
-/// A(G) — so the Config comes from paths_finder_config over A(G).
-std::unique_ptr<sim::Adversary> make_graph_adversary(
-    const Cell& cell, const graphs::BlockIndex& index, Rng& adv_rng) {
-  if (!harness::adversary_applies(cell.protocol, cell.adversary) ||
-      !is_graph_protocol(cell.protocol)) {
-    throw std::invalid_argument("adversary does not apply to graph protocol");
-  }
-  harness::AdversarySpec spec;
-  spec.kind = cell.adversary;
-  draw_spec_randomness(spec, cell.n, cell.t, adv_rng);
-  if (cell.adversary == AdversaryKind::kSplit) {
-    core::PathsFinderOptions pf;
-    pf.update = cell.update;
-    pf.mode = cell.mode;
-    pf.engine = cell.engine;
-    spec.split_config = core::paths_finder_config(index.agreement_tree(),
-                                                  cell.n, cell.t, pf);
-    spec.victims = last_parties(cell.n, cell.t);
-  }
-  return harness::make_adversary(spec);
-}
+/// One cell: the input space and the inputs are the only per-family part;
+/// the run, its round budget and its verdict all come from the registry.
+void run_cell_body(const Cell& cell, CellResult& result, Rng& cell_rng,
+                   const obs::Hooks* hooks, std::size_t run_threads) {
+  harness::RunSpec rs;
+  rs.protocol = cell.protocol;
+  rs.n = cell.n;
+  rs.t = cell.t;
+  rs.threads = run_threads;
+  rs.eps = cell.eps;
+  rs.known_range = cell.known_range;
+  rs.update = cell.update;
+  rs.mode = cell.mode;
+  rs.engine = cell.engine;
+  rs.hooks = hooks;
 
-std::unique_ptr<sim::Adversary> make_real_adversary(
-    const Cell& cell, const realaa::Config& cfg, Rng& adv_rng) {
-  harness::AdversarySpec spec;
-  spec.kind = cell.adversary;
-  draw_spec_randomness(spec, cell.n, cell.t, adv_rng);
-  if (cell.adversary == AdversaryKind::kSplit ||
-      cell.adversary == AdversaryKind::kSplit1) {
-    spec.split_config = cfg;
-    spec.victims = last_parties(cell.n, cell.t);
+  std::optional<LabeledTree> tree;
+  std::optional<graphs::BlockIndex> index;
+  // Fekete's bound for the cell's input space; on R it is scale-invariant:
+  // spread D with target eps is the instance spread D/eps with target 1.
+  double d0 = cell.known_range / cell.eps;
+  if (is_graph_protocol(cell.protocol)) {
+    index.emplace(build_graph(cell, cell_rng));
+    rs.block_index = &*index;
+    result.tree_n = index->n();
+    result.tree_diameter = index->diameter();
+    result.graph_blocks = index->decomposition().blocks().size();
+    d0 = static_cast<double>(index->diameter());
+  } else if (is_vertex_protocol(cell.protocol)) {
+    tree.emplace(build_tree(cell, cell_rng));
+    rs.tree = &*tree;
+    result.tree_n = tree->n();
+    result.tree_diameter = tree->diameter();
+    d0 = static_cast<double>(tree->diameter());
   }
-  return harness::make_adversary(spec);
-}
-
-void fill_traffic(CellResult& result, const sim::TrafficStats& traffic) {
-  result.honest_messages = traffic.honest_messages();
-  result.honest_bytes = traffic.honest_bytes();
-  result.adversary_messages = traffic.adversary_messages();
-  result.adversary_bytes = traffic.adversary_bytes();
-}
-
-void run_vertex_cell(const SweepSpec& spec, const Cell& cell,
-                     CellResult& result, Rng& cell_rng,
-                     const obs::Hooks* hooks, std::size_t run_threads) {
-  (void)spec;
-  const LabeledTree tree = build_tree(cell, cell_rng);
-  result.tree_n = tree.n();
-  result.tree_diameter = tree.diameter();
-  result.lower_bound =
-      bounds::lower_bound_rounds(tree.diameter(), cell.n, cell.t);
+  result.lower_bound = bounds::lower_bound_rounds(d0, cell.n, cell.t);
 
   Rng input_rng = cell_rng.fork(kInputTag);
-  const std::vector<VertexId> inputs =
-      cell.inputs == InputKind::kSpread
-          ? harness::spread_vertex_inputs(tree, cell.n)
-          : harness::random_vertex_inputs(tree, cell.n, input_rng);
-
-  Rng adv_rng = cell_rng.fork(kAdversaryTag);
-  auto adversary = make_vertex_adversary(cell, tree, adv_rng);
-
-  std::vector<std::optional<VertexId>> outputs;
-  if (cell.protocol == Protocol::kTreeAA) {
-    core::TreeAAOptions opts;
-    opts.update = cell.update;
-    opts.mode = cell.mode;
-    opts.engine = cell.engine;
-    result.round_budget = core::tree_aa_rounds(tree, cell.n, cell.t, opts);
-    auto run = core::run_tree_aa(tree, inputs, cell.t, opts,
-                                 std::move(adversary), hooks,
-                                 sim::EngineOptions{run_threads});
-    result.rounds = run.rounds;
-    result.corrupt = run.corrupt.size();
-    fill_traffic(result, run.traffic);
-    outputs = std::move(run.outputs);
+  const bool spread = cell.inputs == InputKind::kSpread;
+  if (index.has_value()) {
+    rs.vertex_inputs =
+        spread ? harness::spread_vertex_inputs(*index, cell.n)
+               : harness::random_vertex_inputs(*index, cell.n, input_rng);
+  } else if (tree.has_value()) {
+    rs.vertex_inputs =
+        spread ? harness::spread_vertex_inputs(*tree, cell.n)
+               : harness::random_vertex_inputs(*tree, cell.n, input_rng);
   } else {
-    const baselines::IteratedTreeConfig cfg{cell.n, cell.t};
-    result.round_budget = cfg.rounds(tree);
-    auto run = harness::run_iterated_tree_aa(tree, cell.n, cell.t, inputs,
-                                             std::move(adversary), hooks,
-                                             run_threads);
-    result.rounds = run.rounds;
-    result.corrupt = run.corrupt.size();
-    fill_traffic(result, run.traffic);
-    outputs = std::move(run.outputs);
-  }
-
-  std::vector<VertexId> honest_inputs;
-  std::vector<VertexId> honest_outputs;
-  for (PartyId p = 0; p < cell.n; ++p) {
-    if (outputs[p].has_value()) {
-      honest_inputs.push_back(inputs[p]);
-      honest_outputs.push_back(*outputs[p]);
-    }
-  }
-  const auto check = core::check_agreement(tree, honest_inputs, honest_outputs);
-  result.validity = check.valid;
-  result.agreement = check.one_agreement;
-  result.spread = static_cast<double>(check.max_pairwise_distance);
-}
-
-void run_block_cell(const SweepSpec& spec, const Cell& cell,
-                    CellResult& result, Rng& cell_rng,
-                    const obs::Hooks* hooks, std::size_t run_threads) {
-  (void)spec;
-  const graphs::Graph g = build_graph(cell, cell_rng);
-  const graphs::BlockIndex index(g);
-  result.tree_n = g.n();
-  result.tree_diameter = index.diameter();
-  result.graph_blocks = index.decomposition().blocks().size();
-  result.lower_bound =
-      bounds::lower_bound_rounds(index.diameter(), cell.n, cell.t);
-
-  Rng input_rng = cell_rng.fork(kInputTag);
-  std::vector<VertexId> inputs(cell.n);
-  if (cell.inputs == InputKind::kSpread) {
-    const auto [a, b] = index.diameter_endpoints();
-    for (std::size_t i = 0; i < cell.n; ++i) inputs[i] = i % 2 == 0 ? a : b;
-  } else {
-    for (auto& v : inputs) v = static_cast<VertexId>(input_rng.index(g.n()));
+    rs.real_inputs =
+        spread ? harness::spread_real_inputs(cell.n, 0.0, cell.known_range)
+               : harness::random_real_inputs(cell.n, 0.0, cell.known_range,
+                                             input_rng);
   }
 
   Rng adv_rng = cell_rng.fork(kAdversaryTag);
-  auto adversary = make_graph_adversary(cell, index, adv_rng);
+  rs.adversary = make_cell_adversary(cell, rs, adv_rng);
 
-  graphs::BlockAAOptions opts;
-  opts.update = cell.update;
-  opts.mode = cell.mode;
-  opts.engine = cell.engine;
-  result.round_budget = graphs::block_aa_rounds(index, cell.n, cell.t, opts);
-  auto run = graphs::run_block_aa(index, inputs, cell.t, opts,
-                                  std::move(adversary), hooks,
-                                  sim::EngineOptions{run_threads});
+  result.round_budget = harness::round_budget(rs);
+  const harness::RunOutcome run = harness::run_protocol(rs);
   result.rounds = run.rounds;
   result.corrupt = run.corrupt.size();
-  fill_traffic(result, run.traffic);
+  result.honest_messages = run.traffic.honest_messages();
+  result.honest_bytes = run.traffic.honest_bytes();
+  result.adversary_messages = run.traffic.adversary_messages();
+  result.adversary_bytes = run.traffic.adversary_bytes();
 
-  std::vector<VertexId> honest_inputs;
-  std::vector<VertexId> honest_outputs;
-  for (PartyId p = 0; p < cell.n; ++p) {
-    if (run.outputs[p].has_value()) {
-      honest_inputs.push_back(inputs[p]);
-      honest_outputs.push_back(*run.outputs[p]);
-    }
-  }
-  const auto check =
-      graphs::check_agreement(index, honest_inputs, honest_outputs);
-  result.validity = check.valid;
-  result.agreement = check.one_agreement;
-  result.spread = static_cast<double>(check.max_pairwise_distance);
-}
-
-void run_real_cell(const SweepSpec& spec, const Cell& cell,
-                   CellResult& result, Rng& cell_rng, const obs::Hooks* hooks,
-                   std::size_t run_threads) {
-  (void)spec;
-  // Scale-invariant Fekete bound: spread D with target eps is the same
-  // instance as spread D/eps with target 1.
-  result.lower_bound = bounds::lower_bound_rounds(
-      cell.known_range / cell.eps, cell.n, cell.t);
-
-  Rng input_rng = cell_rng.fork(kInputTag);
-  const std::vector<double> inputs =
-      cell.inputs == InputKind::kSpread
-          ? harness::spread_real_inputs(cell.n, 0.0, cell.known_range)
-          : harness::random_real_inputs(cell.n, 0.0, cell.known_range,
-                                        input_rng);
-
-  realaa::Config cfg;
-  cfg.n = cell.n;
-  cfg.t = cell.t;
-  cfg.eps = cell.eps;
-  cfg.known_range = cell.known_range;
-  cfg.update = cell.update;
-  cfg.mode = cell.mode;
-
-  Rng adv_rng = cell_rng.fork(kAdversaryTag);
-  auto adversary = make_real_adversary(cell, cfg, adv_rng);
-
-  harness::RealRun run;
-  if (cell.protocol == Protocol::kRealAA) {
-    result.round_budget = cfg.rounds();
-    run = harness::run_real_aa(cfg, inputs, std::move(adversary), hooks,
-                               run_threads);
-  } else {
-    const baselines::IteratedRealConfig slow{cell.n, cell.t, cell.eps,
-                                             cell.known_range};
-    result.round_budget = slow.rounds();
-    run = harness::run_iterated_real_aa(slow, inputs, std::move(adversary),
-                                        hooks, run_threads);
-  }
-  result.rounds = run.rounds;
-  result.corrupt = run.corrupt.size();
-  fill_traffic(result, run.traffic);
-
-  double in_lo = 0.0, in_hi = 0.0, out_lo = 0.0, out_hi = 0.0;
-  bool first = true;
-  for (PartyId p = 0; p < cell.n; ++p) {
-    if (!run.outputs[p].has_value()) continue;
-    if (first) {
-      in_lo = in_hi = inputs[p];
-      out_lo = out_hi = *run.outputs[p];
-      first = false;
-    } else {
-      in_lo = std::min(in_lo, inputs[p]);
-      in_hi = std::max(in_hi, inputs[p]);
-      out_lo = std::min(out_lo, *run.outputs[p]);
-      out_hi = std::max(out_hi, *run.outputs[p]);
-    }
-  }
-  result.validity = !first && out_lo >= in_lo && out_hi <= in_hi;
-  result.spread = out_hi - out_lo;
-  result.agreement = result.spread <= cell.eps;
+  const harness::Verdict verdict = harness::check_outcome(rs, run);
+  result.validity = verdict.valid;
+  result.agreement = verdict.agreement;
+  result.spread = verdict.spread;
 }
 
 }  // namespace
@@ -350,13 +189,7 @@ CellResult run_cell(const SweepSpec& spec, const Cell& cell,
   try {
     Rng parent(spec.seed);
     Rng cell_rng = parent.fork(cell.index);
-    if (is_graph_protocol(cell.protocol)) {
-      run_block_cell(spec, cell, result, cell_rng, hooks_ptr, run_threads);
-    } else if (is_vertex_protocol(cell.protocol)) {
-      run_vertex_cell(spec, cell, result, cell_rng, hooks_ptr, run_threads);
-    } else {
-      run_real_cell(spec, cell, result, cell_rng, hooks_ptr, run_threads);
-    }
+    run_cell_body(cell, result, cell_rng, hooks_ptr, run_threads);
     result.ok = true;
   } catch (const std::exception& e) {
     result.ok = false;

@@ -3,8 +3,9 @@
 // `run_cell` turns one Cell of the expanded grid into a CellResult: it
 // derives the cell's RNG stream as Rng(spec.seed).fork(cell.index) — a pure
 // function of (sweep seed, cell index), never of scheduling — builds the
-// tree/inputs/adversary from sub-streams of it, runs the protocol through
-// the harness, and evaluates the AA verdict. `run_sweep` executes the whole
+// tree/inputs/adversary from sub-streams of it into one harness::RunSpec,
+// and takes the run, its round budget and its AA verdict from the registry
+// (run_protocol, round_budget, check_outcome). `run_sweep` executes the whole
 // work list on the scheduler (scheduler.h): each worker writes only its own
 // index's slot, so the resulting vector — and the report serialized from it
 // (report.h) — is byte-identical for every thread count.

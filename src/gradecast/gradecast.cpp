@@ -27,7 +27,7 @@ BatchGradecast::BatchGradecast(PartyId self, std::size_t n, std::size_t t,
       my_value_(std::move(my_value)),
       deny_(std::move(deny)) {
   TREEAA_REQUIRE(self < n);
-  TREEAA_REQUIRE_MSG(n > 3 * t, "gradecast requires t < n/3");
+  TREEAA_REQUIRE_MSG(fault_bound_holds(n, t), "gradecast requires t < n/3");
   if (deny_.empty()) deny_.assign(n, false);
   TREEAA_REQUIRE(deny_.size() == n);
   leader_values_.assign(n, std::nullopt);

@@ -62,8 +62,9 @@ BlockRunResult run_block_aa(const BlockIndex& index,
                             const obs::Hooks* hooks,
                             sim::EngineOptions engine_opts) {
   const std::size_t n = inputs.size();
-  TREEAA_REQUIRE_MSG(n > 3 * t, "BlockAA requires n > 3t (n = "
-                                    << n << ", t = " << t << ")");
+  TREEAA_REQUIRE_MSG(fault_bound_holds(n, t),
+                     "BlockAA requires n > 3t (n = " << n << ", t = " << t
+                                                     << ")");
   for (const VertexId v : inputs) index.graph().require_vertex(v);
 
   obs::RunReport* report = hooks != nullptr ? hooks->report : nullptr;

@@ -13,6 +13,7 @@
 #include "core/api.h"
 #include "core/path_aa.h"
 #include "graphs/block_aa.h"
+#include "graphs/check.h"
 #include "harness/adversary_spec.h"
 #include "obs/probe.h"
 #include "perf/tree_index.h"
@@ -122,38 +123,98 @@ realaa::Config real_config(const RunSpec& spec) {
   return cfg;
 }
 
-RunOutcome run_tree_aa_impl(RunSpec& spec) {
+baselines::IteratedRealConfig iterated_real_config(const RunSpec& spec) {
+  return baselines::IteratedRealConfig{spec.n, spec.t, spec.eps,
+                                       spec.known_range};
+}
+
+core::TreeAAOptions tree_options(const RunSpec& spec) {
+  return core::TreeAAOptions{spec.update, spec.mode, spec.engine};
+}
+
+core::PathsFinderOptions paths_finder_options(const RunSpec& spec) {
+  return core::PathsFinderOptions{spec.update, spec.mode, spec.engine,
+                                  spec.index_choice};
+}
+
+const LabeledTree& spec_tree(const RunSpec& spec) {
   TREEAA_REQUIRE(spec.tree != nullptr);
-  core::TreeAAOptions opts{spec.update, spec.mode, spec.engine};
-  const auto run =
-      core::run_tree_aa(*spec.tree, spec.vertex_inputs, spec.t, opts,
-                        std::move(spec.adversary), spec.hooks,
-                        sim::EngineOptions{spec.threads});
+  return *spec.tree;
+}
+
+const graphs::BlockIndex& spec_index(const RunSpec& spec) {
+  TREEAA_REQUIRE(spec.block_index != nullptr);
+  return *spec.block_index;
+}
+
+// The round-budget column of the dispatch table, one function per entry.
+
+std::size_t tree_aa_budget(const RunSpec& spec) {
+  return core::tree_aa_rounds(spec_tree(spec), spec.n, spec.t,
+                              tree_options(spec));
+}
+
+std::size_t iterated_tree_aa_budget(const RunSpec& spec) {
+  return baselines::IteratedTreeConfig{spec.n, spec.t}.rounds(spec_tree(spec));
+}
+
+std::size_t real_aa_budget(const RunSpec& spec) {
+  return real_config(spec).rounds();
+}
+
+std::size_t iterated_real_aa_budget(const RunSpec& spec) {
+  return iterated_real_config(spec).rounds();
+}
+
+/// The inner real-valued engine's rounds on spread `d` with target 1: PathAA
+/// runs it over the path's diameter, PathsFinder over the Euler list.
+std::size_t inner_engine_budget(const RunSpec& spec, double d) {
+  return core::real_engine_rounds({spec.engine, spec.update, spec.mode},
+                                  spec.n, spec.t, d, 1.0);
+}
+
+std::size_t path_aa_budget(const RunSpec& spec) {
+  return inner_engine_budget(spec,
+                             static_cast<double>(spec_tree(spec).diameter()));
+}
+
+std::size_t paths_finder_budget(const RunSpec& spec) {
+  return inner_engine_budget(spec, core::paths_finder_range(spec_tree(spec)));
+}
+
+std::size_t async_budget(const RunSpec&) { return 0; }
+
+std::size_t block_aa_budget(const RunSpec& spec) {
+  return graphs::block_aa_rounds(spec_index(spec), spec.n, spec.t,
+                                 tree_options(spec));
+}
+
+RunOutcome from_tree_run(core::RunResult&& run) {
   RunOutcome out;
-  out.vertex_outputs = run.outputs;
-  out.corrupt = run.corrupt;
+  out.vertex_outputs = std::move(run.outputs);
+  out.corrupt = std::move(run.corrupt);
   out.rounds = run.rounds;
   out.traffic = run.traffic;
+  out.path_split = run.path_split;
+  out.clamp_count = run.clamp_count;
+  out.max_detected_faulty = run.max_detected_faulty;
   return out;
+}
+
+RunOutcome run_tree_aa_impl(RunSpec& spec) {
+  return from_tree_run(core::run_tree_aa(
+      spec_tree(spec), spec.vertex_inputs, spec.t, tree_options(spec),
+      std::move(spec.adversary), spec.hooks, sim::EngineOptions{spec.threads}));
 }
 
 RunOutcome run_block_aa_impl(RunSpec& spec) {
-  TREEAA_REQUIRE(spec.block_index != nullptr);
-  graphs::BlockAAOptions opts{spec.update, spec.mode, spec.engine};
-  const auto run = graphs::run_block_aa(
-      *spec.block_index, spec.vertex_inputs, spec.t, opts,
-      std::move(spec.adversary), spec.hooks, sim::EngineOptions{spec.threads});
-  RunOutcome out;
-  out.vertex_outputs = run.outputs;
-  out.corrupt = run.corrupt;
-  out.rounds = run.rounds;
-  out.traffic = run.traffic;
-  return out;
+  return from_tree_run(graphs::run_block_aa(
+      spec_index(spec), spec.vertex_inputs, spec.t, tree_options(spec),
+      std::move(spec.adversary), spec.hooks, sim::EngineOptions{spec.threads}));
 }
 
 RunOutcome run_iterated_tree_aa_impl(RunSpec& spec) {
-  TREEAA_REQUIRE(spec.tree != nullptr);
-  const LabeledTree& tree = *spec.tree;
+  const LabeledTree& tree = spec_tree(spec);
   const std::size_t n = spec.n;
   const std::size_t t = spec.t;
   TREEAA_REQUIRE(spec.vertex_inputs.size() == n);
@@ -167,7 +228,8 @@ RunOutcome run_iterated_tree_aa_impl(RunSpec& spec) {
   RunOutcome run;
   run.vertex_outputs.resize(n);
   drive<baselines::IteratedTreeAAProcess>(
-      n, t, spec.threads, std::move(spec.adversary), cfg.rounds(tree),
+      n, t, spec.threads, std::move(spec.adversary),
+      iterated_tree_aa_budget(spec),
       [&](PartyId p) {
         return std::make_unique<baselines::IteratedTreeAAProcess>(
             tree, cfg, p, spec.vertex_inputs[p]);
@@ -254,11 +316,7 @@ RunOutcome run_real_aa_impl(RunSpec& spec) {
 }
 
 RunOutcome run_iterated_real_aa_impl(RunSpec& spec) {
-  baselines::IteratedRealConfig config;
-  config.n = spec.n;
-  config.t = spec.t;
-  config.eps = spec.eps;
-  config.known_range = spec.known_range;
+  const baselines::IteratedRealConfig config = iterated_real_config(spec);
   const std::vector<double>& inputs = spec.real_inputs;
   TREEAA_REQUIRE(inputs.size() == config.n);
   const obs::Hooks* hooks = spec.hooks;
@@ -306,8 +364,7 @@ RunOutcome run_iterated_real_aa_impl(RunSpec& spec) {
 }
 
 RunOutcome run_path_aa_impl(RunSpec& spec) {
-  TREEAA_REQUIRE(spec.tree != nullptr);
-  const LabeledTree& path_tree = *spec.tree;
+  const LabeledTree& path_tree = spec_tree(spec);
   const std::size_t n = spec.n;
   const std::size_t t = spec.t;
   TREEAA_REQUIRE(spec.vertex_inputs.size() == n);
@@ -320,13 +377,8 @@ RunOutcome run_path_aa_impl(RunSpec& spec) {
   }
   RunOutcome run;
   run.vertex_outputs.resize(n);
-  // All parties share the same (public) configuration, so any party's round
-  // count works; build one probe process to read it.
-  const std::size_t rounds =
-      core::PathAAProcess(path_tree, n, t, 0, spec.vertex_inputs[0], opts)
-          .rounds();
   drive<core::PathAAProcess>(
-      n, t, spec.threads, std::move(spec.adversary), rounds,
+      n, t, spec.threads, std::move(spec.adversary), path_aa_budget(spec),
       [&](PartyId p) {
         return std::make_unique<core::PathAAProcess>(
             path_tree, n, t, p, spec.vertex_inputs[p], opts);
@@ -340,19 +392,16 @@ RunOutcome run_path_aa_impl(RunSpec& spec) {
 }
 
 RunOutcome run_paths_finder_impl(RunSpec& spec) {
-  TREEAA_REQUIRE(spec.tree != nullptr);
-  const LabeledTree& tree = *spec.tree;
+  const LabeledTree& tree = spec_tree(spec);
   const std::size_t n = spec.n;
   const std::size_t t = spec.t;
   TREEAA_REQUIRE(spec.vertex_inputs.size() == n);
-  core::PathsFinderOptions opts{spec.update, spec.mode, spec.engine,
-                                spec.index_choice};
+  const core::PathsFinderOptions opts = paths_finder_options(spec);
   // One shared index serves every party's Euler positions and materialises
   // output paths without per-call tree walks.
   const perf::TreeIndex index(tree);
   RunOutcome run;
   run.paths.resize(n);
-  const auto cfg = core::paths_finder_config(tree, n, t, opts);
   const obs::Hooks* hooks = spec.hooks;
   obs::RunReport* report = hooks != nullptr ? hooks->report : nullptr;
   if (report != nullptr) {
@@ -363,7 +412,7 @@ RunOutcome run_paths_finder_impl(RunSpec& spec) {
     report->add_param("update", update_rule_name(opts.update));
   }
   drive<core::PathsFinderProcess>(
-      n, t, spec.threads, std::move(spec.adversary), cfg.rounds(),
+      n, t, spec.threads, std::move(spec.adversary), paths_finder_budget(spec),
       [&](PartyId p) {
         return std::make_unique<core::PathsFinderProcess>(
             index, n, t, p, spec.vertex_inputs[p], opts);
@@ -400,8 +449,7 @@ RunOutcome run_paths_finder_impl(RunSpec& spec) {
 }
 
 RunOutcome run_async_tree_aa_impl(RunSpec& spec) {
-  TREEAA_REQUIRE(spec.tree != nullptr);
-  const LabeledTree& tree = *spec.tree;
+  const LabeledTree& tree = spec_tree(spec);
   const std::size_t n = spec.n;
   const std::size_t t = spec.t;
   TREEAA_REQUIRE(spec.vertex_inputs.size() == n);
@@ -462,25 +510,30 @@ struct ProtocolEntry {
   bool vertex;  // vertex-valued (tree + vertex inputs) vs real-valued
   bool sweep;   // available on the sweep grid
   RunOutcome (*run)(RunSpec&);
+  std::size_t (*rounds)(const RunSpec&);  // round_budget()
 };
 
 /// THE protocol-dispatch table: rows in enum order (indexable by kind).
 constexpr std::size_t kProtocolCount = 8;
 const std::array<ProtocolEntry, kProtocolCount> kTable = {{
-    {ProtocolKind::kTreeAA, "tree_aa", true, true, run_tree_aa_impl},
+    {ProtocolKind::kTreeAA, "tree_aa", true, true, run_tree_aa_impl,
+     tree_aa_budget},
     {ProtocolKind::kIteratedTreeAA, "iterated_tree_aa", true, true,
-     run_iterated_tree_aa_impl},
-    {ProtocolKind::kRealAA, "real_aa", false, true, run_real_aa_impl},
+     run_iterated_tree_aa_impl, iterated_tree_aa_budget},
+    {ProtocolKind::kRealAA, "real_aa", false, true, run_real_aa_impl,
+     real_aa_budget},
     {ProtocolKind::kIteratedRealAA, "iterated_real_aa", false, true,
-     run_iterated_real_aa_impl},
-    {ProtocolKind::kPathAA, "path_aa", true, false, run_path_aa_impl},
+     run_iterated_real_aa_impl, iterated_real_aa_budget},
+    {ProtocolKind::kPathAA, "path_aa", true, false, run_path_aa_impl,
+     path_aa_budget},
     {ProtocolKind::kPathsFinder, "paths_finder", true, false,
-     run_paths_finder_impl},
+     run_paths_finder_impl, paths_finder_budget},
     {ProtocolKind::kAsyncTreeAA, "async_tree_aa", true, false,
-     run_async_tree_aa_impl},
+     run_async_tree_aa_impl, async_budget},
     // Graph-valued: `vertex` is false because it takes a BlockIndex, not a
     // tree (see is_graph_protocol).
-    {ProtocolKind::kBlockAA, "block_aa", false, true, run_block_aa_impl},
+    {ProtocolKind::kBlockAA, "block_aa", false, true, run_block_aa_impl,
+     block_aa_budget},
 }};
 
 const ProtocolEntry& entry(ProtocolKind p) {
@@ -610,8 +663,7 @@ const char* spec_error_name(SpecError e) {
 std::optional<SpecIssue> validate_axes(ProtocolKind protocol, std::size_t n,
                                        std::size_t t,
                                        std::optional<AdversaryKind> adversary) {
-  // n == 0 lands here too: 0 <= 3t for every t.
-  if (n <= 3 * t) {
+  if (!fault_bound_holds(n, t)) {
     return SpecIssue{SpecError::kFaultBound,
                      "n = " + std::to_string(n) + " needs n > 3t (t = " +
                          std::to_string(t) + ")"};
@@ -704,6 +756,104 @@ std::vector<SpecIssue> validate(const RunSpec& spec,
   return issues;
 }
 
-RunOutcome run_protocol(RunSpec spec) { return entry(spec.protocol).run(spec); }
+RunOutcome run_protocol(RunSpec& spec) {
+  return entry(spec.protocol).run(spec);
+}
+
+std::size_t round_budget(const RunSpec& spec) {
+  return entry(spec.protocol).rounds(spec);
+}
+
+std::optional<realaa::Config> split_target(const RunSpec& spec) {
+  switch (spec.protocol) {
+    case ProtocolKind::kTreeAA:
+      return core::paths_finder_config(spec_tree(spec), spec.n, spec.t,
+                                       paths_finder_options(spec));
+    case ProtocolKind::kBlockAA:
+      return core::paths_finder_config(spec_index(spec).agreement_tree(),
+                                       spec.n, spec.t,
+                                       paths_finder_options(spec));
+    case ProtocolKind::kRealAA:
+      return real_config(spec);
+    default:
+      return std::nullopt;
+  }
+}
+
+namespace {
+
+/// Phase 1 alone has no single output vertex; the checkable guarantees are
+/// that every honest party ends with a non-empty root-anchored path and
+/// that honest paths differ by at most one edge (Lemma 4), observable as
+/// tip distance <= 1.
+Verdict check_paths(const LabeledTree& tree, const RunOutcome& outcome) {
+  bool rooted = true;
+  std::vector<VertexId> tips;
+  for (const auto& path : outcome.paths) {
+    if (!path.has_value()) continue;
+    if (path->empty() || path->front() != tree.root()) {
+      rooted = false;
+      continue;
+    }
+    tips.push_back(path->back());
+  }
+  if (tips.empty()) return Verdict{};
+  const std::uint32_t spread =
+      perf::TreeIndex(tree).max_pairwise_distance(tips, tips);
+  return Verdict{rooted, spread <= 1, static_cast<double>(spread)};
+}
+
+Verdict check_reals(const RunSpec& spec, const RunOutcome& outcome) {
+  double in_lo = 0.0, in_hi = 0.0, out_lo = 0.0, out_hi = 0.0;
+  bool first = true;
+  for (std::size_t p = 0; p < outcome.real_outputs.size(); ++p) {
+    if (!outcome.real_outputs[p].has_value()) continue;
+    const double in = spec.real_inputs[p];
+    const double out = *outcome.real_outputs[p];
+    if (first) {
+      in_lo = in_hi = in;
+      out_lo = out_hi = out;
+      first = false;
+    } else {
+      in_lo = std::min(in_lo, in);
+      in_hi = std::max(in_hi, in);
+      out_lo = std::min(out_lo, out);
+      out_hi = std::max(out_hi, out);
+    }
+  }
+  if (first) return Verdict{};
+  const double spread = out_hi - out_lo;
+  return Verdict{out_lo >= in_lo && out_hi <= in_hi, spread <= spec.eps,
+                 spread};
+}
+
+}  // namespace
+
+Verdict check_outcome(const RunSpec& spec, const RunOutcome& outcome) {
+  if (spec.protocol == ProtocolKind::kPathsFinder) {
+    return check_paths(spec_tree(spec), outcome);
+  }
+  if (!is_vertex_protocol(spec.protocol) && !is_graph_protocol(spec.protocol)) {
+    return check_reals(spec, outcome);
+  }
+  std::vector<VertexId> honest_inputs;
+  std::vector<VertexId> honest_outputs;
+  for (std::size_t p = 0; p < outcome.vertex_outputs.size(); ++p) {
+    if (!outcome.vertex_outputs[p].has_value()) continue;
+    honest_inputs.push_back(spec.vertex_inputs[p]);
+    honest_outputs.push_back(*outcome.vertex_outputs[p]);
+  }
+  if (honest_outputs.empty()) return Verdict{};
+  if (is_graph_protocol(spec.protocol)) {
+    const auto check = graphs::check_agreement(spec_index(spec), honest_inputs,
+                                               honest_outputs);
+    return Verdict{check.valid, check.one_agreement,
+                   static_cast<double>(check.max_pairwise_distance)};
+  }
+  const auto check =
+      core::check_agreement(spec_tree(spec), honest_inputs, honest_outputs);
+  return Verdict{check.valid, check.one_agreement,
+                 static_cast<double>(check.max_pairwise_distance)};
+}
 
 }  // namespace treeaa::harness

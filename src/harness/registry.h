@@ -1,12 +1,21 @@
 // The protocol registry — the repository's single protocol-dispatch table.
 //
 // Every front end that accepts a protocol or adversary by name (the CLI,
-// the sweep engine, the socket-net deployment tool) resolves it here, and
-// every one-call runner goes through run_protocol(): one RunSpec describes
-// any run, one RunOutcome carries any result. The typed convenience
-// wrappers in runner.h (run_real_aa, run_paths_finder, ...) are thin
-// adapters over this table, so adding a protocol means adding one registry
-// entry — not editing three name switches.
+// the sweep engine, the hunt, the serve daemon, the socket-net deployment
+// tool) resolves it here, and every one of them runs through run_protocol():
+// one RunSpec describes any run, one RunOutcome carries any result. The
+// typed convenience wrappers in runner.h (run_real_aa, run_paths_finder,
+// ...) are thin adapters over this table, so adding a protocol means adding
+// one registry entry — not editing three name switches.
+//
+// The registry is also the one place that knows three facts about a spec,
+// so no front end derives them itself:
+//
+//   * round_budget()  — the rounds one run of the spec executes (a column
+//                       of the dispatch table);
+//   * split_target()  — the RealAA instance the split attacks aim at;
+//   * check_outcome() — the AA verdict of a finished run (Definition 2:
+//                       validity plus 1-agreement, or eps-agreement on R).
 //
 // The registry also centralises the adversary vocabulary. AdversaryPlan
 // separates *what randomness the caller drew* (victims, fuzz seed — whose
@@ -196,6 +205,11 @@ struct RunOutcome {
   std::uint64_t messages = 0;    // async model only
   std::uint64_t deliveries = 0;  // async model only
 
+  // TreeAA and BlockAA telemetry, as in core::RunResult.
+  bool path_split = false;
+  std::size_t clamp_count = 0;
+  std::size_t max_detected_faulty = 0;
+
   [[nodiscard]] std::vector<VertexId> honest_vertex_outputs() const;
   [[nodiscard]] std::vector<double> honest_real_outputs() const;
 };
@@ -239,7 +253,41 @@ struct SpecIssue {
     const RunSpec& spec,
     std::optional<AdversaryKind> adversary = std::nullopt);
 
-/// Runs `spec` through the registry's dispatch table.
-[[nodiscard]] RunOutcome run_protocol(RunSpec spec);
+/// Runs `spec` through the registry's dispatch table. Consumes the spec's
+/// adversary objects only, so the caller can judge the same spec afterwards
+/// with check_outcome().
+[[nodiscard]] RunOutcome run_protocol(RunSpec& spec);
+
+/// The rounds one run of `spec` executes (0 in the async model). Public
+/// knowledge: a pure function of the protocol, n, t, the input space and
+/// the inner-engine knobs. Requires the spec's topology.
+[[nodiscard]] std::size_t round_budget(const RunSpec& spec);
+
+/// The inner RealAA instance the split attacks target: PathsFinder's over
+/// the tree (TreeAA), the same over the agreement tree A(G) (BlockAA), or
+/// the protocol's own configuration (RealAA). nullopt for every protocol
+/// without a gradecast-distributed RealAA instance to split.
+[[nodiscard]] std::optional<realaa::Config> split_target(const RunSpec& spec);
+
+/// The AA verdict of one run over its honest parties (those with an
+/// output). `spread` is the max pairwise output distance (tree or graph
+/// metric) or, on R, max - min of the outputs.
+struct Verdict {
+  bool valid = false;      // every output in the honest inputs' hull
+  bool agreement = false;  // 1-agreement, or spread <= eps on R
+  double spread = 0.0;
+
+  [[nodiscard]] bool ok() const { return valid && agreement; }
+};
+
+/// Judges `outcome` against the spec that produced it: core::check_agreement
+/// for the tree protocols (sync and async), graphs::check_agreement for
+/// block graphs, the interval check with spread <= eps for real protocols.
+/// paths_finder (phase 1 alone) has no output vertex: valid means every
+/// honest path is non-empty and starts at the root, agreement means the
+/// path tips are at most one edge apart (Lemma 4). An empty honest set is
+/// neither valid nor in agreement.
+[[nodiscard]] Verdict check_outcome(const RunSpec& spec,
+                                    const RunOutcome& outcome);
 
 }  // namespace treeaa::harness

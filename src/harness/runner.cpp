@@ -58,7 +58,7 @@ RealRun run_real_aa(const realaa::Config& config,
   spec.mode = config.mode;
   spec.adversary = std::move(adversary);
   spec.hooks = hooks;
-  return to_real_run(run_protocol(std::move(spec)));
+  return to_real_run(run_protocol(spec));
 }
 
 RealRun run_iterated_real_aa(const baselines::IteratedRealConfig& config,
@@ -75,7 +75,7 @@ RealRun run_iterated_real_aa(const baselines::IteratedRealConfig& config,
   spec.known_range = config.known_range;
   spec.adversary = std::move(adversary);
   spec.hooks = hooks;
-  return to_real_run(run_protocol(std::move(spec)));
+  return to_real_run(run_protocol(spec));
 }
 
 std::vector<std::vector<VertexId>> PathsFinderRun::honest_paths() const {
@@ -105,7 +105,7 @@ PathsFinderRun run_paths_finder(const LabeledTree& tree, std::size_t n,
   spec.index_choice = opts.index_choice;
   spec.adversary = std::move(adversary);
   spec.hooks = hooks;
-  auto outcome = run_protocol(std::move(spec));
+  auto outcome = run_protocol(spec);
   PathsFinderRun run;
   run.paths = std::move(outcome.paths);
   run.corrupt = std::move(outcome.corrupt);
@@ -152,7 +152,7 @@ VertexRun run_path_aa(const LabeledTree& path_tree, std::size_t n,
   spec.engine = opts.engine;
   spec.adversary = std::move(adversary);
   spec.hooks = hooks;
-  return to_vertex_run(run_protocol(std::move(spec)));
+  return to_vertex_run(run_protocol(spec));
 }
 
 VertexRun run_iterated_tree_aa(const LabeledTree& tree, std::size_t n,
@@ -169,7 +169,7 @@ VertexRun run_iterated_tree_aa(const LabeledTree& tree, std::size_t n,
   spec.vertex_inputs = inputs;
   spec.adversary = std::move(adversary);
   spec.hooks = hooks;
-  return to_vertex_run(run_protocol(std::move(spec)));
+  return to_vertex_run(run_protocol(spec));
 }
 
 VertexRun run_block_aa(const graphs::BlockIndex& index, std::size_t n,
@@ -189,7 +189,7 @@ VertexRun run_block_aa(const graphs::BlockIndex& index, std::size_t n,
   spec.engine = opts.engine;
   spec.adversary = std::move(adversary);
   spec.hooks = hooks;
-  return to_vertex_run(run_protocol(std::move(spec)));
+  return to_vertex_run(run_protocol(spec));
 }
 
 std::vector<VertexId> AsyncVertexRun::honest_outputs() const {
@@ -215,28 +215,13 @@ AsyncVertexRun run_async_tree_aa(const LabeledTree& tree, std::size_t n,
   spec.async_opts = std::move(opts);
   spec.async_adversary = std::move(adversary);
   spec.hooks = hooks;
-  auto outcome = run_protocol(std::move(spec));
+  auto outcome = run_protocol(spec);
   AsyncVertexRun run;
   run.outputs = std::move(outcome.vertex_outputs);
   run.corrupt = std::move(outcome.corrupt);
   run.deliveries = outcome.deliveries;
   run.messages = outcome.messages;
   return run;
-}
-
-std::vector<VertexId> random_vertex_inputs(const LabeledTree& tree,
-                                           std::size_t n, Rng& rng) {
-  std::vector<VertexId> inputs(n);
-  for (auto& v : inputs) v = static_cast<VertexId>(rng.index(tree.n()));
-  return inputs;
-}
-
-std::vector<VertexId> spread_vertex_inputs(const LabeledTree& tree,
-                                           std::size_t n) {
-  const auto [a, b] = tree.diameter_endpoints();
-  std::vector<VertexId> inputs(n);
-  for (std::size_t i = 0; i < n; ++i) inputs[i] = (i % 2 == 0) ? a : b;
-  return inputs;
 }
 
 std::vector<double> spread_real_inputs(std::size_t n, double lo, double hi) {

@@ -140,14 +140,29 @@ struct AsyncVertexRun {
 
 // --- Input generators -------------------------------------------------------
 
+// The vertex-input generators take the input space: a LabeledTree, or a
+// graphs::BlockIndex for vertices of its graph.
+
 /// n vertices drawn uniformly at random.
-[[nodiscard]] std::vector<VertexId> random_vertex_inputs(
-    const LabeledTree& tree, std::size_t n, Rng& rng);
+template <typename Space>
+[[nodiscard]] std::vector<VertexId> random_vertex_inputs(const Space& space,
+                                                         std::size_t n,
+                                                         Rng& rng) {
+  std::vector<VertexId> inputs(n);
+  for (auto& v : inputs) v = static_cast<VertexId>(rng.index(space.n()));
+  return inputs;
+}
 
 /// n vertices alternating between the two endpoints of a diametral path —
 /// the worst-case spread for round-count experiments.
-[[nodiscard]] std::vector<VertexId> spread_vertex_inputs(
-    const LabeledTree& tree, std::size_t n);
+template <typename Space>
+[[nodiscard]] std::vector<VertexId> spread_vertex_inputs(const Space& space,
+                                                         std::size_t n) {
+  const auto [a, b] = space.diameter_endpoints();
+  std::vector<VertexId> inputs(n);
+  for (std::size_t i = 0; i < n; ++i) inputs[i] = (i % 2 == 0) ? a : b;
+  return inputs;
+}
 
 /// n reals alternating between lo and hi (worst-case spread on R).
 [[nodiscard]] std::vector<double> spread_real_inputs(std::size_t n, double lo,

@@ -2,11 +2,7 @@
 
 #include <stdexcept>
 
-#include "baselines/iterated_real_aa.h"
-#include "baselines/iterated_tree_aa.h"
 #include "common/rng.h"
-#include "core/paths_finder.h"
-#include "core/tree_aa.h"
 #include "harness/runner.h"
 #include "trees/generators.h"
 
@@ -42,6 +38,24 @@ bool is_hunt_protocol(harness::ProtocolKind p) {
   }
 }
 
+harness::RunSpec run_spec(const MaterializedScenario& m) {
+  const Scenario& s = m.scenario;
+  harness::RunSpec spec;
+  spec.protocol = s.protocol;
+  spec.n = s.n;
+  spec.t = s.t;
+  spec.threads = 1;  // parallelism is across candidates, never inside a run
+  spec.tree = m.tree.has_value() ? &*m.tree : nullptr;
+  spec.vertex_inputs = m.vertex_inputs;
+  spec.real_inputs = m.real_inputs;
+  spec.eps = s.eps;
+  spec.known_range = s.known_range;
+  spec.update = s.update;
+  spec.mode = s.mode;
+  spec.engine = s.engine;
+  return spec;
+}
+
 MaterializedScenario materialize(const Scenario& s) {
   if (!is_hunt_protocol(s.protocol)) {
     throw std::invalid_argument(
@@ -73,33 +87,7 @@ MaterializedScenario materialize(const Scenario& s) {
     }
     m.d0 = static_cast<double>(m.tree->diameter());
     m.target_eps = 1.0;
-    if (s.protocol == ProtocolKind::kTreeAA) {
-      core::TreeAAOptions opts;
-      opts.update = s.update;
-      opts.mode = s.mode;
-      opts.engine = s.engine;
-      m.round_budget = static_cast<Round>(
-          core::tree_aa_rounds(*m.tree, s.n, s.t, opts));
-      // The split attack targets the inner RealAA of PathsFinder (phase 1),
-      // same as the sweep engine.
-      core::PathsFinderOptions pf;
-      pf.update = s.update;
-      pf.mode = s.mode;
-      pf.engine = s.engine;
-      m.split_config = core::paths_finder_config(*m.tree, s.n, s.t, pf);
-      m.iterations = m.split_config.iterations();
-    } else {
-      const baselines::IteratedTreeConfig cfg{s.n, s.t};
-      m.round_budget = static_cast<Round>(cfg.rounds(*m.tree));
-    }
   } else {
-    realaa::Config cfg;
-    cfg.n = s.n;
-    cfg.t = s.t;
-    cfg.eps = s.eps;
-    cfg.known_range = s.known_range;
-    cfg.update = s.update;
-    cfg.mode = s.mode;
     if (s.random_inputs) {
       Rng input_rng(s.input_seed);
       m.real_inputs =
@@ -109,31 +97,20 @@ MaterializedScenario materialize(const Scenario& s) {
     }
     m.d0 = s.known_range;
     m.target_eps = s.eps;
-    if (s.protocol == ProtocolKind::kRealAA) {
-      m.round_budget = static_cast<Round>(cfg.rounds());
-      m.split_config = cfg;
-      m.iterations = cfg.iterations();
-    } else {
-      const baselines::IteratedRealConfig slow{s.n, s.t, s.eps,
-                                               s.known_range};
-      m.round_budget = static_cast<Round>(slow.rounds());
-    }
   }
 
   // One pass through the shared precondition checker so a bad scenario
-  // fails here, with the registry's wording, instead of mid-search.
-  harness::RunSpec probe;
-  probe.protocol = s.protocol;
-  probe.n = s.n;
-  probe.t = s.t;
-  probe.tree = m.tree.has_value() ? &*m.tree : nullptr;
-  probe.vertex_inputs = m.vertex_inputs;
-  probe.real_inputs = m.real_inputs;
-  probe.eps = s.eps;
-  probe.known_range = s.known_range;
+  // fails here, with the registry's wording, instead of mid-search; then
+  // the registry's round budget and split target for the pinned instance.
+  const harness::RunSpec probe = run_spec(m);
   const auto issues = harness::validate(probe);
   if (!issues.empty()) {
     throw std::invalid_argument(issues.front().detail);
+  }
+  m.round_budget = static_cast<Round>(harness::round_budget(probe));
+  if (const auto target = harness::split_target(probe)) {
+    m.split_config = *target;
+    m.iterations = target->iterations();
   }
   return m;
 }

@@ -56,12 +56,13 @@ struct MaterializedScenario {
   /// Label strings of vertex_inputs, for the corpus / CLI replay.
   std::vector<std::string> input_labels;
   std::vector<double> real_inputs;
-  /// The RealAA instance a split attack targets (the protocol's own config
-  /// for real protocols; the inner PathsFinder config for tree protocols).
+  /// The RealAA instance a split attack targets: harness::split_target of
+  /// the pinned instance (default-constructed when the protocol has none).
   realaa::Config split_config;
-  /// split_config.iterations() — the split-schedule length bound.
+  /// split_config.iterations() — the split-schedule length bound (0 without
+  /// a split target).
   std::size_t iterations = 0;
-  /// The protocol's round budget (rounds one run executes).
+  /// harness::round_budget of the pinned instance (rounds one run executes).
   Round round_budget = 0;
   /// Claimed initial diameter (tree diameter / known_range) and agreement
   /// target (1 / eps) — the (D, eps) of the round-count claim.
@@ -76,5 +77,10 @@ struct MaterializedScenario {
 /// Resolves the scenario; throws std::invalid_argument on an inconsistent
 /// one (unknown family, n <= 3t, missing tree, bad real params).
 [[nodiscard]] MaterializedScenario materialize(const Scenario& s);
+
+/// The pinned instance as a registry spec, one engine lane, no adversary
+/// and no hooks: what materialize() validates and budgets, and what every
+/// candidate evaluation runs. References `m`'s tree, so `m` must outlive it.
+[[nodiscard]] harness::RunSpec run_spec(const MaterializedScenario& m);
 
 }  // namespace treeaa::hunt

@@ -8,7 +8,6 @@
 #include <utility>
 
 #include "bounds/fekete.h"
-#include "core/api.h"
 #include "exp/ledger.h"
 #include "exp/scheduler.h"
 #include "obs/report.h"
@@ -27,47 +26,6 @@ constexpr double kFailedScore = -std::numeric_limits<double>::infinity();
 bool better(double score, const std::string& json, const Candidate& than) {
   if (score != than.score) return score > than.score;
   return json < than.spec_json;
-}
-
-void fill_real_outcome(const MaterializedScenario& scenario,
-                       const harness::RunOutcome& outcome, Evaluation& e) {
-  double in_lo = 0.0, in_hi = 0.0, out_lo = 0.0, out_hi = 0.0;
-  bool first = true;
-  for (std::size_t p = 0; p < scenario.scenario.n; ++p) {
-    if (!outcome.real_outputs[p].has_value()) continue;
-    const double in = scenario.real_inputs[p];
-    const double out = *outcome.real_outputs[p];
-    if (first) {
-      in_lo = in_hi = in;
-      out_lo = out_hi = out;
-      first = false;
-    } else {
-      in_lo = std::min(in_lo, in);
-      in_hi = std::max(in_hi, in);
-      out_lo = std::min(out_lo, out);
-      out_hi = std::max(out_hi, out);
-    }
-  }
-  e.validity = !first && out_lo >= in_lo && out_hi <= in_hi;
-  e.final_spread = out_hi - out_lo;
-  e.agreement = e.final_spread <= scenario.scenario.eps;
-}
-
-void fill_vertex_outcome(const MaterializedScenario& scenario,
-                         const harness::RunOutcome& outcome, Evaluation& e) {
-  std::vector<VertexId> honest_inputs;
-  std::vector<VertexId> honest_outputs;
-  for (std::size_t p = 0; p < scenario.scenario.n; ++p) {
-    if (outcome.vertex_outputs[p].has_value()) {
-      honest_inputs.push_back(scenario.vertex_inputs[p]);
-      honest_outputs.push_back(*outcome.vertex_outputs[p]);
-    }
-  }
-  const auto check =
-      core::check_agreement(*scenario.tree, honest_inputs, honest_outputs);
-  e.validity = check.valid;
-  e.agreement = check.one_agreement;
-  e.final_spread = static_cast<double>(check.max_pairwise_distance);
 }
 
 }  // namespace
@@ -116,25 +74,13 @@ Evaluation evaluate_spec(const MaterializedScenario& scenario,
   obs::Hooks hooks;
   hooks.report = &report;
 
-  harness::RunSpec rs;
-  rs.protocol = s.protocol;
-  rs.n = s.n;
-  rs.t = s.t;
-  rs.threads = 1;  // parallelism is across candidates, never inside a run
-  rs.tree = scenario.tree.has_value() ? &*scenario.tree : nullptr;
-  rs.vertex_inputs = scenario.vertex_inputs;
-  rs.real_inputs = scenario.real_inputs;
-  rs.eps = s.eps;
-  rs.known_range = s.known_range;
-  rs.update = s.update;
-  rs.mode = s.mode;
-  rs.engine = s.engine;
+  harness::RunSpec rs = run_spec(scenario);
   rs.hooks = &hooks;
 
   harness::RunOutcome outcome;
   try {
     rs.adversary = harness::make_adversary(resolved);
-    outcome = harness::run_protocol(std::move(rs));
+    outcome = harness::run_protocol(rs);
   } catch (const std::exception& ex) {
     e.error = ex.what();
     return e;
@@ -162,11 +108,10 @@ Evaluation evaluate_spec(const MaterializedScenario& scenario,
     e.ledger_violations = exp::build_ledger(*in).violations;
   }
 
-  if (harness::is_vertex_protocol(s.protocol)) {
-    fill_vertex_outcome(scenario, outcome, e);
-  } else {
-    fill_real_outcome(scenario, outcome, e);
-  }
+  const harness::Verdict verdict = harness::check_outcome(rs, outcome);
+  e.validity = verdict.valid;
+  e.agreement = verdict.agreement;
+  e.final_spread = verdict.spread;
   e.ok = true;
   return e;
 }

@@ -6,6 +6,7 @@
 
 #include "common/check.h"
 #include "common/rng.h"
+#include "common/types.h"
 #include "core/real_engine.h"
 #include "core/tree_aa.h"
 #include "graphs/block_aa.h"
@@ -61,9 +62,9 @@ DeployResult run_tree_aa_net(const LabeledTree& tree,
                              const std::vector<VertexId>& inputs,
                              std::size_t t, const DeployConfig& cfg) {
   const std::size_t n = inputs.size();
-  TREEAA_REQUIRE_MSG(n > 3 * t, "TreeAA requires n > 3t (n = " << n
-                                                               << ", t = " << t
-                                                               << ")");
+  TREEAA_REQUIRE_MSG(fault_bound_holds(n, t),
+                     "TreeAA requires n > 3t (n = " << n << ", t = " << t
+                                                    << ")");
   for (const VertexId v : inputs) tree.require_vertex(v);
   for (const FaultPlan::Crash& c : cfg.faults.crashes) {
     TREEAA_REQUIRE_MSG(c.party < n,

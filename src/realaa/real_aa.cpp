@@ -37,7 +37,7 @@ RealAAProcess::RealAAProcess(const Config& config, PartyId self, double input)
       iterations_(config.iterations()),
       self_(self),
       value_(input) {
-  TREEAA_REQUIRE(config.n > 3 * config.t);
+  TREEAA_REQUIRE(fault_bound_holds(config.n, config.t));
   TREEAA_REQUIRE(self < config.n);
   faulty_.assign(config.n, false);
   history_.push_back(value_);

@@ -3,6 +3,7 @@
 #include <cmath>
 
 #include "common/check.h"
+#include "common/types.h"
 
 namespace treeaa::realaa {
 
@@ -28,7 +29,7 @@ std::size_t iterations_paper_sufficient(double D, double eps) {
 std::size_t iterations_tight(double D, double eps, std::size_t n,
                              std::size_t t) {
   TREEAA_REQUIRE(D >= 0 && eps > 0);
-  TREEAA_REQUIRE_MSG(n > 3 * t, "RealAA requires t < n/3");
+  TREEAA_REQUIRE_MSG(fault_bound_holds(n, t), "RealAA requires t < n/3");
   const double delta = D / eps;
   if (delta <= 1.0) return 0;
   if (t == 0) return 1;  // no inconsistencies possible: one averaging round

@@ -1,16 +1,12 @@
 #include "serve/instance.h"
 
-#include <algorithm>
-#include <cmath>
 #include <utility>
 
 #include "common/rng.h"
 #include "exp/ledger.h"
-#include "graphs/check.h"
 #include "harness/adversary_spec.h"
 #include "harness/runner.h"
 #include "obs/report.h"
-#include "perf/tree_index.h"
 #include "sim/strategies.h"
 
 namespace treeaa::serve {
@@ -84,98 +80,6 @@ bool is_served_adversary(harness::AdversaryKind a) {
   return a == harness::AdversaryKind::kNone ||
          a == harness::AdversaryKind::kSilent ||
          a == harness::AdversaryKind::kFuzz;
-}
-
-void check_vertex_outputs(const LabeledTree& tree,
-                          const std::vector<VertexId>& inputs,
-                          const harness::RunOutcome& outcome,
-                          ResultReply& reply) {
-  std::vector<VertexId> honest_inputs;
-  std::vector<VertexId> honest_outputs;
-  for (std::size_t p = 0; p < outcome.vertex_outputs.size(); ++p) {
-    if (!outcome.vertex_outputs[p].has_value()) continue;
-    honest_inputs.push_back(inputs[p]);
-    honest_outputs.push_back(*outcome.vertex_outputs[p]);
-  }
-  const auto check = core::check_agreement(tree, honest_inputs, honest_outputs);
-  reply.valid = check.valid;
-  reply.one_agreement = check.one_agreement;
-  reply.spread = static_cast<double>(check.max_pairwise_distance);
-  reply.ok = check.ok();
-  reply.outputs_hash = hash_vertex_outputs(outcome.vertex_outputs);
-}
-
-void check_paths(const LabeledTree& tree, const harness::RunOutcome& outcome,
-                 ResultReply& reply) {
-  // Phase 1 alone has no single output vertex; the checkable guarantees are
-  // that every honest party ends with a non-empty root-anchored path and
-  // that honest paths differ by at most one edge (Lemma 4) — observable as
-  // tip distance <= 1.
-  bool valid = true;
-  std::vector<VertexId> tips;
-  for (const auto& path : outcome.paths) {
-    if (!path.has_value()) continue;
-    if (path->empty() || path->front() != tree.root()) {
-      valid = false;
-      continue;
-    }
-    tips.push_back(path->back());
-  }
-  valid = valid && !tips.empty();
-  const std::uint32_t spread =
-      perf::TreeIndex(tree).max_pairwise_distance(tips, tips);
-  reply.valid = valid;
-  reply.spread = static_cast<double>(spread);
-  reply.one_agreement = spread <= 1;
-  reply.ok = valid && reply.one_agreement;
-  reply.outputs_hash = hash_paths(outcome.paths);
-}
-
-void check_graph_outputs(const graphs::BlockIndex& index,
-                         const std::vector<VertexId>& inputs,
-                         const harness::RunOutcome& outcome,
-                         ResultReply& reply) {
-  std::vector<VertexId> honest_inputs;
-  std::vector<VertexId> honest_outputs;
-  for (std::size_t p = 0; p < outcome.vertex_outputs.size(); ++p) {
-    if (!outcome.vertex_outputs[p].has_value()) continue;
-    honest_inputs.push_back(inputs[p]);
-    honest_outputs.push_back(*outcome.vertex_outputs[p]);
-  }
-  const auto check =
-      graphs::check_agreement(index, honest_inputs, honest_outputs);
-  reply.valid = check.valid;
-  reply.one_agreement = check.one_agreement;
-  reply.spread = static_cast<double>(check.max_pairwise_distance);
-  reply.ok = check.ok();
-  reply.outputs_hash = hash_vertex_outputs(outcome.vertex_outputs);
-}
-
-void check_real_outputs(const std::vector<double>& inputs, double eps,
-                        const harness::RunOutcome& outcome,
-                        ResultReply& reply) {
-  double in_lo = 0.0, in_hi = 0.0, out_lo = 0.0, out_hi = 0.0;
-  bool first = true;
-  for (std::size_t p = 0; p < outcome.real_outputs.size(); ++p) {
-    if (!outcome.real_outputs[p].has_value()) continue;
-    const double in = inputs[p];
-    const double out = *outcome.real_outputs[p];
-    if (first) {
-      in_lo = in_hi = in;
-      out_lo = out_hi = out;
-      first = false;
-    } else {
-      in_lo = std::min(in_lo, in);
-      in_hi = std::max(in_hi, in);
-      out_lo = std::min(out_lo, out);
-      out_hi = std::max(out_hi, out);
-    }
-  }
-  reply.valid = !first && out_lo >= in_lo && out_hi <= in_hi;
-  reply.spread = first ? 0.0 : out_hi - out_lo;
-  reply.one_agreement = !first && reply.spread <= eps;
-  reply.ok = reply.valid && reply.one_agreement;
-  reply.outputs_hash = hash_real_outputs(outcome.real_outputs);
 }
 
 }  // namespace
@@ -301,39 +205,24 @@ InstanceResult run_instance(const Catalog& catalog, const OpenRequest& req,
     spec.t = t;
     spec.threads = 1;  // parallelism is across instances, never inside one
 
-    const LabeledTree* tree = nullptr;
-    const graphs::BlockIndex* index = nullptr;
-    std::vector<VertexId> vertex_inputs;
-    std::vector<double> real_inputs;
-
+    const bool spread = req.inputs == InputKind::kSpread;
     if (harness::is_graph_protocol(protocol)) {
-      index = catalog.graph(req.topology);
-      spec.block_index = index;
-      vertex_inputs.resize(n);
-      if (req.inputs == InputKind::kSpread) {
-        const auto [a, b] = index->diameter_endpoints();
-        for (std::size_t i = 0; i < n; ++i) {
-          vertex_inputs[i] = i % 2 == 0 ? a : b;
-        }
-      } else {
-        for (auto& v : vertex_inputs) {
-          v = static_cast<VertexId>(input_rng.index(index->n()));
-        }
-      }
-      spec.vertex_inputs = vertex_inputs;
+      const graphs::BlockIndex& index = *catalog.graph(req.topology);
+      spec.block_index = &index;
+      spec.vertex_inputs =
+          spread ? harness::spread_vertex_inputs(index, n)
+                 : harness::random_vertex_inputs(index, n, input_rng);
     } else if (harness::is_vertex_protocol(protocol)) {
-      tree = catalog.tree(req.topology);
-      spec.tree = tree;
-      vertex_inputs = req.inputs == InputKind::kSpread
-                          ? harness::spread_vertex_inputs(*tree, n)
-                          : harness::random_vertex_inputs(*tree, n, input_rng);
-      spec.vertex_inputs = vertex_inputs;
+      const LabeledTree& tree = *catalog.tree(req.topology);
+      spec.tree = &tree;
+      spec.vertex_inputs =
+          spread ? harness::spread_vertex_inputs(tree, n)
+                 : harness::random_vertex_inputs(tree, n, input_rng);
     } else {
-      real_inputs =
-          req.inputs == InputKind::kSpread
-              ? harness::spread_real_inputs(n, 0.0, req.known_range)
-              : harness::random_real_inputs(n, 0.0, req.known_range, input_rng);
-      spec.real_inputs = real_inputs;
+      spec.real_inputs =
+          spread ? harness::spread_real_inputs(n, 0.0, req.known_range)
+                 : harness::random_real_inputs(n, 0.0, req.known_range,
+                                               input_rng);
       spec.eps = req.eps;
       spec.known_range = req.known_range;
     }
@@ -369,7 +258,7 @@ InstanceResult run_instance(const Catalog& catalog, const OpenRequest& req,
       spec.hooks = &hooks;
     }
 
-    const auto outcome = harness::run_protocol(std::move(spec));
+    const auto outcome = harness::run_protocol(spec);
 
     if (check_ledger) {
       if (const auto in = exp::ledger_input_from_report(run_report)) {
@@ -383,14 +272,18 @@ InstanceResult run_instance(const Catalog& catalog, const OpenRequest& req,
             : outcome.traffic.total_messages();
     result.reply.corrupt = outcome.corrupt.size();
 
-    if (harness::is_graph_protocol(protocol)) {
-      check_graph_outputs(*index, vertex_inputs, outcome, result.reply);
-    } else if (protocol == harness::ProtocolKind::kPathsFinder) {
-      check_paths(*tree, outcome, result.reply);
-    } else if (harness::is_vertex_protocol(protocol)) {
-      check_vertex_outputs(*tree, vertex_inputs, outcome, result.reply);
+    const harness::Verdict verdict = harness::check_outcome(spec, outcome);
+    result.reply.valid = verdict.valid;
+    result.reply.one_agreement = verdict.agreement;
+    result.reply.spread = verdict.spread;
+    result.reply.ok = verdict.ok();
+    if (protocol == harness::ProtocolKind::kPathsFinder) {
+      result.reply.outputs_hash = hash_paths(outcome.paths);
+    } else if (harness::is_vertex_protocol(protocol) ||
+               harness::is_graph_protocol(protocol)) {
+      result.reply.outputs_hash = hash_vertex_outputs(outcome.vertex_outputs);
     } else {
-      check_real_outputs(real_inputs, req.eps, outcome, result.reply);
+      result.reply.outputs_hash = hash_real_outputs(outcome.real_outputs);
     }
   } catch (const std::exception& e) {
     result.error = e.what();

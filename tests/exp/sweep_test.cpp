@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <string>
 
 #include "exp/report.h"
@@ -181,6 +182,78 @@ TEST(Sweep, RunThreadsNeverChangeReport) {
   EXPECT_EQ(render({.threads = 1, .run_threads = 4}), base);
   EXPECT_EQ(render({.threads = 8, .run_threads = 4}), base);
   EXPECT_EQ(render({.threads = 2, .run_threads = 0}), base);
+}
+
+std::uint64_t fnv1a64(const std::string& s) {
+  std::uint64_t h = 14695981039346656037ull;
+  for (const char c : s) {
+    h ^= static_cast<std::uint8_t>(c);
+    h *= 1099511628211ull;
+  }
+  return h;
+}
+
+// Every sweep protocol, every adversary kind the grid accepts (split and
+// split1 included), both input kinds and a non-default engine, on instances
+// small enough for ctest.
+constexpr const char* kGoldenSpec = R"({
+  "name": "golden",
+  "seed": 77,
+  "scenarios": [
+    {"protocols": ["tree_aa"],
+     "tree": {"families": ["random", "caterpillar"], "sizes": [14]},
+     "engine": ["bdh", "classic"],
+     "iteration_mode": "tight",
+     "n": [7],
+     "adversaries": ["silent", "fuzz", "split"],
+     "inputs": "random"},
+    {"protocols": ["iterated_tree_aa"],
+     "tree": {"families": ["spider"], "sizes": [12], "tree_seed": 4},
+     "n": [4],
+     "adversaries": ["none", "fuzz"]},
+    {"protocols": ["real_aa"],
+     "range": [1024],
+     "eps": [0.5],
+     "update": ["trimmed_mean", "trimmed_midpoint"],
+     "n": [7],
+     "adversaries": ["fuzz", "split", "split1"],
+     "inputs": "random"},
+    {"protocols": ["iterated_real_aa"],
+     "range": [64],
+     "n": [4],
+     "adversaries": ["silent"]},
+    {"protocols": ["block_aa"],
+     "graph": {"families": ["clique_chain", "cactus"], "sizes": [12]},
+     "n": [7],
+     "adversaries": ["fuzz", "split"],
+     "inputs": "random"}
+  ]
+})";
+
+/// Pins the canonical sweep_report/1 bytes, per-cell run reports embedded,
+/// across commits: the FNV-1a 64 of the whole document. The same bytes must
+/// come out at every cell-thread and engine-lane split. A refactor of the
+/// cell runner must leave the hash untouched; a change that alters it on
+/// purpose re-records it and says why.
+TEST(Sweep, ReportBytesGolden) {
+  constexpr std::uint64_t kGoldenHash = 0xa2dbb56ff434ea27ull;
+  const SweepSpec spec = spec_from_json(kGoldenSpec);
+  ASSERT_EQ(expand(spec).size(), 12u + 2u + 6u + 1u + 4u);
+  for (const SweepOptions& opts :
+       {SweepOptions{.threads = 1, .collect_reports = true},
+        SweepOptions{.threads = 3, .collect_reports = true},
+        SweepOptions{.threads = 4, .run_threads = 2,
+                     .collect_reports = true}}) {
+    SCOPED_TRACE("threads " + std::to_string(opts.threads) + ", run_threads " +
+                 std::to_string(opts.run_threads));
+    const SweepResult result = run_sweep(spec, opts);
+    for (const CellResult& r : result.cells) {
+      EXPECT_TRUE(r.ok) << "cell " << r.cell.index << ": " << r.error;
+    }
+    const std::string json =
+        sweep_report_json(spec, result, {.include_cell_reports = true});
+    EXPECT_EQ(fnv1a64(json), kGoldenHash);
+  }
 }
 
 }  // namespace

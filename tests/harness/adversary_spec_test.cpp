@@ -177,7 +177,7 @@ TEST(AdversarySpecTest, EverySampledPointBuildsAndRunsToAgreement) {
     spec.vertex_inputs = harness::spread_vertex_inputs(tree, n);
     spec.adversary = harness::make_adversary(p);
     const auto inputs = spec.vertex_inputs;
-    auto out = harness::run_protocol(std::move(spec));
+    auto out = harness::run_protocol(spec);
 
     std::vector<VertexId> honest_inputs;
     for (PartyId q = 0; q < n; ++q) {
@@ -243,7 +243,7 @@ TEST(AdversarySpecTest, SeedDefaultsAreUnifiedAndReportBytesUnchanged) {
     spec.vertex_inputs = harness::spread_vertex_inputs(tree, n);
     spec.adversary = harness::make_adversary(adv);
     spec.hooks = &hooks;
-    (void)harness::run_protocol(std::move(spec));
+    (void)harness::run_protocol(spec);
     return report.to_json(false);
   };
 

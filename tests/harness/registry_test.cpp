@@ -14,6 +14,8 @@
 #include <vector>
 
 #include "core/api.h"
+#include "core/paths_finder.h"
+#include "core/real_engine.h"
 #include "graphs/block_index.h"
 #include "graphs/check.h"
 #include "graphs/generators.h"
@@ -108,7 +110,7 @@ TEST(RegistryTest, EveryRegisteredProtocolRunsAndAgrees) {
         spec.vertex_inputs.push_back(q % 2 == 0 ? end_a : end_b);
       }
       const auto inputs = spec.vertex_inputs;
-      auto out = harness::run_protocol(std::move(spec));
+      auto out = harness::run_protocol(spec);
       EXPECT_TRUE(out.corrupt.empty());
       const auto check = graphs::check_agreement(
           block_index, inputs, out.honest_vertex_outputs());
@@ -122,7 +124,7 @@ TEST(RegistryTest, EveryRegisteredProtocolRunsAndAgrees) {
       spec.tree = &tree;
       spec.vertex_inputs = harness::spread_vertex_inputs(tree, n);
       const auto inputs = spec.vertex_inputs;
-      auto out = harness::run_protocol(std::move(spec));
+      auto out = harness::run_protocol(spec);
       EXPECT_TRUE(out.corrupt.empty());
       if (p == harness::ProtocolKind::kPathsFinder) {
         // Phase 1 alone: every party must output a root-anchored path.
@@ -143,7 +145,7 @@ TEST(RegistryTest, EveryRegisteredProtocolRunsAndAgrees) {
       spec.eps = 0.5;
       spec.known_range = 100.0;
       spec.real_inputs = harness::spread_real_inputs(n, 0.0, 100.0);
-      auto out = harness::run_protocol(std::move(spec));
+      auto out = harness::run_protocol(spec);
       const auto honest = out.honest_real_outputs();
       ASSERT_EQ(honest.size(), n);
       const auto [lo, hi] =
@@ -152,6 +154,119 @@ TEST(RegistryTest, EveryRegisteredProtocolRunsAndAgrees) {
       EXPECT_GE(*lo, 0.0);         // validity within the input range
       EXPECT_LE(*hi, 100.0);
     }
+  }
+}
+
+/// A spec over small fixed instances for every protocol (spread inputs),
+/// on the given inner engine.
+harness::RunSpec small_spec(harness::ProtocolKind p, const LabeledTree& spider,
+                            const LabeledTree& path,
+                            const graphs::BlockIndex& block_index,
+                            core::RealEngineKind engine) {
+  harness::RunSpec spec;
+  spec.protocol = p;
+  spec.n = 7;
+  spec.t = 2;
+  spec.engine = engine;
+  if (harness::is_graph_protocol(p)) {
+    spec.block_index = &block_index;
+    spec.vertex_inputs = harness::spread_vertex_inputs(block_index, spec.n);
+  } else if (harness::is_vertex_protocol(p)) {
+    spec.tree = p == harness::ProtocolKind::kPathAA ? &path : &spider;
+    spec.vertex_inputs = harness::spread_vertex_inputs(*spec.tree, spec.n);
+  } else {
+    spec.eps = 0.5;
+    spec.known_range = 100.0;
+    spec.real_inputs = harness::spread_real_inputs(spec.n, 0.0, 100.0);
+  }
+  return spec;
+}
+
+/// round_budget() is exactly the rounds one run takes, on both inner
+/// engines, and every run passes check_outcome(). PathsFinder on the
+/// classic engine runs longer than the BDH budget, so it only completes
+/// when the budget follows the engine.
+TEST(RegistryTest, RoundBudgetIsWhatARunTakesAndEveryRunPassesItsCheck) {
+  const auto spider = make_spider(3, 3);
+  const auto path = make_path(9);
+  const graphs::BlockIndex block_index(graphs::make_clique_chain(10, 4));
+  for (const auto engine : {core::RealEngineKind::kGradecastBdh,
+                            core::RealEngineKind::kClassicHalving}) {
+    for (const harness::ProtocolKind p : harness::all_protocols()) {
+      SCOPED_TRACE(std::string(harness::protocol_name(p)) + " on " +
+                   core::real_engine_name(engine));
+      harness::RunSpec spec = small_spec(p, spider, path, block_index, engine);
+      const std::size_t budget = harness::round_budget(spec);
+      const auto out = harness::run_protocol(spec);
+      EXPECT_EQ(out.rounds, budget);
+      if (p == harness::ProtocolKind::kAsyncTreeAA) {
+        EXPECT_EQ(budget, 0u);
+      } else {
+        EXPECT_GT(budget, 0u);
+      }
+      const harness::Verdict verdict = harness::check_outcome(spec, out);
+      EXPECT_TRUE(verdict.valid);
+      EXPECT_TRUE(verdict.agreement);
+      EXPECT_TRUE(verdict.ok());
+      EXPECT_LE(verdict.spread, harness::is_vertex_protocol(p) ||
+                                        harness::is_graph_protocol(p)
+                                    ? 1.0
+                                    : spec.eps);
+    }
+  }
+}
+
+/// A split target exists exactly where the split attack applies, and it is
+/// the instance the attack aims at.
+TEST(RegistryTest, SplitTargetExistsExactlyWhereSplitApplies) {
+  const auto spider = make_spider(3, 3);
+  const auto path = make_path(9);
+  const graphs::BlockIndex block_index(graphs::make_clique_chain(10, 4));
+  for (const harness::ProtocolKind p : harness::all_protocols()) {
+    SCOPED_TRACE(harness::protocol_name(p));
+    const harness::RunSpec spec = small_spec(
+        p, spider, path, block_index, core::RealEngineKind::kGradecastBdh);
+    const auto target = harness::split_target(spec);
+    EXPECT_EQ(target.has_value(),
+              harness::adversary_applies(p, harness::AdversaryKind::kSplit));
+    if (!target.has_value()) continue;
+    EXPECT_EQ(target->n, spec.n);
+    EXPECT_EQ(target->t, spec.t);
+  }
+  const harness::RunSpec tree_spec =
+      small_spec(harness::ProtocolKind::kTreeAA, spider, path, block_index,
+                 core::RealEngineKind::kGradecastBdh);
+  EXPECT_EQ(harness::split_target(tree_spec)->known_range,
+            core::paths_finder_range(spider));
+  const harness::RunSpec block_spec =
+      small_spec(harness::ProtocolKind::kBlockAA, spider, path, block_index,
+                 core::RealEngineKind::kGradecastBdh);
+  EXPECT_EQ(harness::split_target(block_spec)->known_range,
+            core::paths_finder_range(block_index.agreement_tree()));
+  const harness::RunSpec real_spec =
+      small_spec(harness::ProtocolKind::kRealAA, spider, path, block_index,
+                 core::RealEngineKind::kGradecastBdh);
+  EXPECT_EQ(harness::split_target(real_spec)->known_range, 100.0);
+  EXPECT_EQ(harness::split_target(real_spec)->eps, 0.5);
+}
+
+/// No honest output at all is neither valid nor in agreement, for every
+/// protocol family.
+TEST(RegistryTest, CheckOutcomeFailsClosedOnAnEmptyHonestSet) {
+  const auto spider = make_spider(3, 3);
+  const auto path = make_path(9);
+  const graphs::BlockIndex block_index(graphs::make_clique_chain(10, 4));
+  for (const harness::ProtocolKind p : harness::all_protocols()) {
+    SCOPED_TRACE(harness::protocol_name(p));
+    const harness::RunSpec spec = small_spec(
+        p, spider, path, block_index, core::RealEngineKind::kGradecastBdh);
+    harness::RunOutcome nobody;
+    nobody.vertex_outputs.resize(spec.n);
+    nobody.real_outputs.resize(spec.n);
+    nobody.paths.resize(spec.n);
+    const harness::Verdict verdict = harness::check_outcome(spec, nobody);
+    EXPECT_FALSE(verdict.valid);
+    EXPECT_FALSE(verdict.agreement);
   }
 }
 
@@ -176,7 +291,7 @@ TEST(RegistryTest, MakeAdversaryAndSilentRun) {
   spec.adversary = harness::make_adversary(plan);
   ASSERT_NE(spec.adversary, nullptr);
   const auto inputs = spec.vertex_inputs;
-  auto out = harness::run_protocol(std::move(spec));
+  auto out = harness::run_protocol(spec);
   EXPECT_EQ(out.corrupt, plan.victims);
 
   std::vector<VertexId> honest_inputs;
@@ -259,7 +374,7 @@ TEST(RegistryTest, ThreadsNeverChangeOutcomeOrReport) {
         }
         spec.adversary = harness::make_adversary(plan);
 
-        auto out = harness::run_protocol(std::move(spec));
+        auto out = harness::run_protocol(spec);
         return std::make_tuple(report.to_json(/*include_timings=*/false),
                                out.vertex_outputs, out.real_outputs,
                                out.paths, out.corrupt, out.rounds);
@@ -346,7 +461,7 @@ TEST(RegistryTest, ReportBytesGolden) {
       plan.fuzz_seed = 77;
       spec.adversary = harness::make_adversary(plan);
 
-      const auto out = harness::run_protocol(std::move(spec));
+      const auto out = harness::run_protocol(spec);
       const std::string json = report.to_json(/*include_timings=*/false);
       EXPECT_EQ(fnv1a64(json), g.report_hash) << json;
       EXPECT_EQ(out.traffic.total_messages(), g.messages);

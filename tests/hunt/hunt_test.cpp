@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -145,6 +146,74 @@ TEST(HuntTest, ObjectiveNamesRoundTrip) {
     EXPECT_EQ(*back, o);
   }
   EXPECT_FALSE(hunt::objective_from_name("coverage").has_value());
+}
+
+std::uint64_t fnv1a64(const std::string& s) {
+  std::uint64_t h = 14695981039346656037ull;
+  for (const char c : s) {
+    h ^= static_cast<std::uint8_t>(c);
+    h *= 1099511628211ull;
+  }
+  return h;
+}
+
+/// Pins hunt_report/1 and hunt_corpus/1 bytes across commits (FNV-1a 64),
+/// one scenario per huntable protocol on a tiny budget, serial and on four
+/// workers. The report echoes the round budget and split schedule length
+/// the scenario derives, so a change to either moves the hash. A refactor
+/// must leave every hash untouched; a change that alters one on purpose
+/// re-records it and says why.
+TEST(HuntTest, ReportAndCorpusBytesGolden) {
+  hunt::Scenario tree = small_tree_scenario();
+  tree.update = realaa::UpdateRule::kTrimmedMidpoint;
+  tree.random_inputs = true;
+  tree.input_seed = 9;
+  hunt::Scenario iterated_tree = small_tree_scenario();
+  iterated_tree.name = "test-iterated-tree";
+  iterated_tree.protocol = harness::ProtocolKind::kIteratedTreeAA;
+  iterated_tree.n = 4;
+  iterated_tree.t = 1;
+  iterated_tree.tree = hunt::TreeSpec{"random", 12, 2};
+  hunt::Scenario real = small_real_scenario();
+  real.mode = realaa::IterationMode::kTight;
+  hunt::Scenario iterated_real = small_real_scenario();
+  iterated_real.name = "test-iterated-real";
+  iterated_real.protocol = harness::ProtocolKind::kIteratedRealAA;
+  iterated_real.n = 7;
+  iterated_real.known_range = 64.0;
+  iterated_real.random_inputs = true;
+
+  struct Golden {
+    hunt::Scenario scenario;
+    hunt::Objective objective;
+    std::uint64_t report_hash;
+    std::uint64_t corpus_hash;
+  };
+  const Golden kGolden[] = {
+      {tree, hunt::Objective::kRoundsToEps,
+       0xb6715b87630a7f6cull, 0xae9cf4e4f3436034ull},
+      {iterated_tree, hunt::Objective::kLedgerMargin,
+       0x431ad9cecc060485ull, 0x9bdd163e206b4f5aull},
+      {real, hunt::Objective::kFinalSpread,
+       0x6de1bfbfcdf774bfull, 0xf1cf39b3a861e2aeull},
+      {iterated_real, hunt::Objective::kRoundsToEps,
+       0xa1c69868a8b0b1c0ull, 0x9518799c18b251b1ull},
+  };
+  for (const Golden& g : kGolden) {
+    const auto m = hunt::materialize(g.scenario);
+    for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+      SCOPED_TRACE(g.scenario.name + " at " + std::to_string(threads) +
+                   " thread(s)");
+      hunt::HuntOptions options = tiny_budget();
+      options.objective = g.objective;
+      options.threads = threads;
+      const auto result = hunt::run_hunt(m, options);
+      EXPECT_EQ(fnv1a64(hunt::hunt_report_json(m, options, result)),
+                g.report_hash);
+      EXPECT_EQ(fnv1a64(hunt::corpus_jsonl(m, options, result)),
+                g.corpus_hash);
+    }
+  }
 }
 
 }  // namespace

@@ -233,7 +233,7 @@ std::vector<std::string> registry_driver_names(harness::ProtocolKind p,
     spec.known_range = 100.0;
     spec.real_inputs = harness::spread_real_inputs(spec.n, 0.0, 100.0);
   }
-  (void)harness::run_protocol(std::move(spec));
+  (void)harness::run_protocol(spec);
   return driver_span_names(sink);
 }
 

@@ -102,6 +102,14 @@ TEST(ValidateRequest, TypedRejects) {
   req = base_request("real_aa");
   req.eps = 0.0;
   EXPECT_EQ(validate_request(catalog, req, &detail), RejectCode::kBadRequest);
+
+  // 3t wraps around 2^64 to 2 < n: still a fault-bound violation.
+  req = base_request("tree_aa");
+  req.n = 4;
+  req.t = 6148914691236517206ull;
+  detail.clear();
+  EXPECT_EQ(validate_request(catalog, req, &detail), RejectCode::kBadRequest);
+  EXPECT_EQ(detail, "requires n > 3t");
 }
 
 TEST(RunInstance, EveryFamilyCompletesAndPassesItsCheck) {
@@ -203,6 +211,66 @@ TEST(RunInstance, SpreadInputsAreDeterministicWithoutSeedDependence) {
   other.seed = 999;
   EXPECT_EQ(run_instance(catalog, req).reply.outputs_hash,
             run_instance(catalog, other).reply.outputs_hash);
+}
+
+std::uint64_t fnv1a64(const Bytes& bytes) {
+  std::uint64_t h = 14695981039346656037ull;
+  for (const std::uint8_t b : bytes) {
+    h ^= b;
+    h *= 1099511628211ull;
+  }
+  return h;
+}
+
+/// Pins the encoded ResultReply of one request per registry protocol across
+/// commits (FNV-1a 64 of encode_result_reply): rounds, messages, verdict,
+/// spread and the outputs witness all sit in those bytes. Adversaries and
+/// random inputs are on wherever serve accepts them. A refactor of the
+/// instance runner or its checks must leave every hash untouched; a change
+/// that alters one on purpose re-records it and says why.
+TEST(RunInstance, ReplyBytesGolden) {
+  struct Golden {
+    const char* protocol;
+    const char* topology;
+    const char* adversary;
+    std::uint64_t corrupt;
+    InputKind inputs;
+    std::uint64_t hash;
+  };
+  const Golden kGolden[] = {
+      {"tree_aa", "spider", "fuzz", 2, InputKind::kRandom,
+       0x0fe75b0d2eab0a60ull},
+      {"iterated_tree_aa", "spider", "silent", 1, InputKind::kRandom,
+       0xe6d8913cd362a6d7ull},
+      {"real_aa", "", "fuzz", 2, InputKind::kRandom,
+       0x835ce46a50c09dffull},
+      {"iterated_real_aa", "", "silent", 2, InputKind::kSpread,
+       0x225e52858e9aab8eull},
+      {"path_aa", "line", "fuzz", 1, InputKind::kRandom,
+       0x977d78056c574f75ull},
+      {"paths_finder", "spider", "fuzz", 2, InputKind::kRandom,
+       0xfce4e5fd2add3d54ull},
+      {"async_tree_aa", "spider", "silent", 2, InputKind::kRandom,
+       0xbeab38ea578c03d5ull},
+      {"block_aa", "blocks", "fuzz", 2, InputKind::kRandom,
+       0xda53ceb79d871086ull},
+  };
+  const Catalog catalog = test_catalog();
+  for (const Golden& g : kGolden) {
+    SCOPED_TRACE(g.protocol);
+    OpenRequest req = base_request(g.protocol);
+    req.topology = g.topology;
+    req.adversary = g.adversary;
+    req.corrupt = g.corrupt;
+    req.inputs = g.inputs;
+    req.eps = 0.5;
+    req.known_range = 100.0;
+    ASSERT_FALSE(validate_request(catalog, req, nullptr).has_value());
+    const InstanceResult result = run_instance(catalog, req);
+    EXPECT_TRUE(result.error.empty()) << result.error;
+    EXPECT_TRUE(result.reply.ok);
+    EXPECT_EQ(fnv1a64(encode_result_reply(result.reply)), g.hash);
+  }
 }
 
 }  // namespace

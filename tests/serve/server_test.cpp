@@ -192,8 +192,12 @@ TEST(Server, GlobalQueueDepthShedsQueueFull) {
   Client client = Client::connect_unix(sock);
   constexpr int kBurst = 6;
   for (int i = 0; i < kBurst; ++i) {
-    // Distinct tenants so the per-tenant cap never fires first.
-    client.open(request(("t" + std::to_string(i)).c_str(), "tree_aa",
+    // Distinct tenants so the per-tenant cap never fires first. (Appending,
+    // not "t" + to_string: GCC 12's Release -Wrestrict misfires on that
+    // insert.)
+    std::string tenant = "t";
+    tenant += std::to_string(i);
+    client.open(request(tenant.c_str(), "tree_aa",
                         static_cast<std::uint64_t>(i)));
   }
   const auto events = drain_client(client);
@@ -291,6 +295,86 @@ TEST(Server, CanonicalReportIsByteIdenticalAcrossThreadCounts) {
   // And it carries the schema plus a timing-free body.
   EXPECT_NE(serial.find("treeaa.serve_report/1"), std::string::npos);
   EXPECT_EQ(serial.find("latency"), std::string::npos);
+}
+
+std::uint64_t fnv1a64(const Bytes& bytes) {
+  std::uint64_t h = 14695981039346656037ull;
+  for (const std::uint8_t b : bytes) {
+    h ^= b;
+    h *= 1099511628211ull;
+  }
+  return h;
+}
+
+/// The encoded replies of one request per registry protocol, served by a
+/// four-lane daemon (each request twice, so lanes run instances
+/// concurrently), pinned across commits as FNV-1a 64 hashes. Every reply
+/// must also equal a direct run_instance on the same request.
+TEST(Server, ReplyBytesGoldenAtFourLanes) {
+  struct Golden {
+    const char* protocol;
+    const char* adversary;
+    std::uint64_t corrupt;
+    std::uint64_t hash;
+  };
+  const Golden kGolden[] = {
+      {"tree_aa", "fuzz", 2, 0xe8dc7a77b40ac716ull},
+      {"iterated_tree_aa", "silent", 2, 0xd125ca8a5b71572dull},
+      {"real_aa", "fuzz", 1, 0xca7328924d724166ull},
+      {"iterated_real_aa", "silent", 2, 0x00663ce82afb53fcull},
+      {"path_aa", "fuzz", 2, 0x9f6097dea32f845full},
+      {"paths_finder", "silent", 2, 0x7a9682a3634994fbull},
+      {"async_tree_aa", "silent", 1, 0x2e46ae3f1ece83dbull},
+      {"block_aa", "fuzz", 2, 0x17792f65bd5dfacbull},
+  };
+  std::vector<OpenRequest> requests;
+  for (const Golden& g : kGolden) {
+    OpenRequest req = request("golden", g.protocol, 41);
+    if (std::string(g.protocol) == "path_aa") req.topology = "line";
+    req.adversary = g.adversary;
+    req.corrupt = g.corrupt;
+    req.inputs = InputKind::kRandom;
+    requests.push_back(req);
+  }
+
+  Catalog catalog = test_catalog();
+  Rng path_rng(1);
+  catalog.add_tree("line", make_family_tree(TreeFamily::kPath, 9, path_rng));
+  std::vector<Bytes> direct;
+  for (const OpenRequest& req : requests) {
+    direct.push_back(encode_result_reply(run_instance(catalog, req).reply));
+  }
+
+  const std::string sock = "server_ut_golden.sock";
+  ServerOptions opts;
+  opts.unix_path = sock;
+  opts.threads = 4;
+  Server server(std::move(catalog), std::move(opts));
+  std::thread loop([&server] { server.run(); });
+  Client client = Client::connect_unix(sock);
+  std::vector<std::size_t> index_of(1);
+  for (std::size_t round = 0; round < 2; ++round) {
+    for (std::size_t i = 0; i < requests.size(); ++i) {
+      const std::uint64_t id = client.open(requests[i]);
+      if (index_of.size() <= id) index_of.resize(id + 1);
+      index_of[id] = i;
+    }
+  }
+  const auto events = drain_client(client);
+  server.request_drain();
+  loop.join();
+
+  ASSERT_EQ(events.size(), 2 * requests.size());
+  for (const auto& event : events) {
+    ASSERT_EQ(event.kind, Client::Event::Kind::kResult);
+    const std::size_t i = index_of.at(event.session_id);
+    SCOPED_TRACE(kGolden[i].protocol);
+    const Bytes bytes = encode_result_reply(event.result);
+    EXPECT_TRUE(event.result.ok);
+    EXPECT_EQ(bytes, direct[i]);
+    EXPECT_EQ(fnv1a64(bytes), kGolden[i].hash);
+  }
+  EXPECT_TRUE(server.clean());
 }
 
 }  // namespace

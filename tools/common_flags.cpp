@@ -12,14 +12,18 @@ const std::string& next_value(const std::vector<std::string>& args,
   return args[++i];
 }
 
-/// Reads the value after flag args[i] as a whole decimal integer. A sign,
-/// any other stray character or an overflow calls `fail` naming the flag.
-template <typename T>
-T next_unsigned(const std::vector<std::string>& args, std::size_t& i,
-                const UsageFn& fail) {
+/// Reads the value after flag args[i] through parse_unsigned.
+std::uint64_t next_unsigned(const std::vector<std::string>& args,
+                            std::size_t& i, const UsageFn& fail) {
   const std::string& flag = args[i];
-  const std::string& text = next_value(args, i, fail);
-  T value{};
+  return parse_unsigned(flag, next_value(args, i, fail), fail);
+}
+
+}  // namespace
+
+std::uint64_t parse_unsigned(const std::string& flag, const std::string& text,
+                             const UsageFn& fail) {
+  std::uint64_t value = 0;
   const char* end = text.data() + text.size();
   const auto [ptr, ec] = std::from_chars(text.data(), end, value);
   if (ec != std::errc() || ptr != end) {
@@ -28,19 +32,17 @@ T next_unsigned(const std::vector<std::string>& args, std::size_t& i,
   return value;
 }
 
-}  // namespace
-
 bool parse_common_flag(const std::vector<std::string>& args, std::size_t& i,
                        const CommonFlagSet& set, CommonFlags& flags,
                        const UsageFn& fail) {
   const std::string& arg = args[i];
   if (set.seed && arg == "--seed") {
-    flags.seed = next_unsigned<std::uint64_t>(args, i, fail);
+    flags.seed = next_unsigned(args, i, fail);
     flags.seed_set = true;
     return true;
   }
   if (set.threads && arg == "--threads") {
-    flags.threads = next_unsigned<std::size_t>(args, i, fail);
+    flags.threads = next_unsigned(args, i, fail);
     return true;
   }
   if (set.metrics && arg == "--metrics") {

@@ -65,6 +65,13 @@ bool parse_common_flag(const std::vector<std::string>& args, std::size_t& i,
                        const CommonFlagSet& set, CommonFlags& flags,
                        const UsageFn& fail);
 
+/// Reads `text`, the value of `flag`, as a whole non-negative decimal
+/// integer. A sign, any other stray character or an overflow calls `fail`
+/// with "<flag> expects a non-negative integer". The shared --seed and
+/// --threads go through it, and so does every tool's own numeric flag.
+std::uint64_t parse_unsigned(const std::string& flag, const std::string& text,
+                             const UsageFn& fail);
+
 /// The usage-line fragment for the enabled flags, in canonical order:
 /// "[--seed <s>] [--threads <k>] [--metrics <file|->] ...". Empty set,
 /// empty string.

@@ -45,6 +45,7 @@
 #include <fstream>
 #include <iostream>
 #include <memory>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -53,14 +54,13 @@
 #include "bounds/fekete.h"
 #include "common/table.h"
 #include "common_flags.h"
-#include "core/api.h"
-#include "harness/adversary_spec.h"
+#include "core/tree_aa.h"
 #include "graphs/block_aa.h"
 #include "graphs/block_index.h"
-#include "graphs/check.h"
 #include "graphs/generators.h"
 #include "graphs/serialization.h"
-#include "harness/runner.h"
+#include "harness/adversary_spec.h"
+#include "harness/registry.h"
 #include "obs/probe.h"
 #include "obs/report.h"
 #include "obs/sink.h"
@@ -224,9 +224,28 @@ int cmd_bounds(const std::vector<std::string>& args) {
   return 0;
 }
 
-int cmd_run(const std::vector<std::string>& args) {
-  if (args.empty()) usage("run needs <file|->");
-  const auto tree = tree_from_text(read_all(args[0]));
+/// `run` (TreeAA on a tree) and `run-block` (BlockAA on a block graph):
+/// the same flags, one registry run and the registry's verdict. Only
+/// reading the input space and resolving and printing labels differ.
+int cmd_run(const std::vector<std::string>& args,
+            harness::ProtocolKind protocol) {
+  const bool block = protocol == harness::ProtocolKind::kBlockAA;
+  if (args.empty()) {
+    usage(std::string(block ? "run-block" : "run") + " needs <file|->");
+  }
+  std::optional<LabeledTree> tree;
+  std::optional<graphs::BlockIndex> index;
+  if (block) {
+    index.emplace(graphs::graph_from_text(read_all(args[0])));
+  } else {
+    tree.emplace(tree_from_text(read_all(args[0])));
+  }
+  const auto find = [&](const std::string& label) {
+    return block ? index->graph().find(label) : tree->find(label);
+  };
+  const auto label_of = [&](VertexId v) -> const std::string& {
+    return block ? index->graph().label(v) : tree->label(v);
+  };
 
   std::size_t t = 0;
   std::vector<std::string> input_labels;
@@ -242,7 +261,7 @@ int cmd_run(const std::vector<std::string>& args) {
       return args[++i];
     };
     if (args[i] == "--t") {
-      t = std::stoul(next());
+      t = tools::parse_unsigned("--t", next(), fail);
     } else if (args[i] == "--inputs") {
       input_labels = split_csv(next());
     } else if (args[i] == "--adversary") {
@@ -263,27 +282,32 @@ int cmd_run(const std::vector<std::string>& args) {
   const std::size_t n = input_labels.size();
   // The fault bound via the registry's typed validator; the CLI keeps its
   // historical one-liner for the common case.
-  if (const auto issue =
-          harness::validate_axes(harness::ProtocolKind::kTreeAA, n, t)) {
+  if (const auto issue = harness::validate_axes(protocol, n, t)) {
     usage(issue->error == harness::SpecError::kFaultBound ? "need n > 3t"
                                                           : issue->detail);
   }
 
-  std::vector<VertexId> inputs;
+  harness::RunSpec spec;
+  spec.protocol = protocol;
+  spec.n = n;
+  spec.t = t;
+  // --threads only changes wall-clock: outputs, reports and traces are
+  // byte-identical to the serial engine for any value.
+  spec.threads = flags.threads;
+  spec.tree = tree.has_value() ? &*tree : nullptr;
+  spec.block_index = index.has_value() ? &*index : nullptr;
   for (const auto& label : input_labels) {
-    const auto v = tree.find(label);
+    const auto v = find(label);
     if (!v.has_value()) usage("no vertex labeled '" + label + "'");
-    inputs.push_back(*v);
+    spec.vertex_inputs.push_back(*v);
   }
-
-  core::TreeAAOptions opts;
   if (engine == "classic") {
-    opts.engine = core::RealEngineKind::kClassicHalving;
+    spec.engine = core::RealEngineKind::kClassicHalving;
   } else if (engine != "bdh") {
     usage("unknown engine '" + engine + "'");
   }
 
-  std::unique_ptr<sim::Adversary> adv;
+  harness::AdversarySpec adv;
   std::string adversary_label = adversary;
   if (!adversary_spec_path.empty()) {
     // Explicit point in adversary space (docs/API.md): the spec carries the
@@ -293,39 +317,34 @@ int cmd_run(const std::vector<std::string>& args) {
       usage("--adversary-spec cannot be combined with --adversary");
     }
     std::string error;
-    auto spec = harness::adversary_spec_from_json(
+    auto parsed = harness::adversary_spec_from_json(
         read_all(adversary_spec_path), &error);
-    if (!spec.has_value()) usage("--adversary-spec: " + error);
-    if (const auto issue = harness::validate_axes(
-            harness::ProtocolKind::kTreeAA, n, t, spec->kind)) {
+    if (!parsed.has_value()) usage("--adversary-spec: " + error);
+    if (const auto issue =
+            harness::validate_axes(protocol, n, t, parsed->kind)) {
       usage(issue->detail);
     }
-    core::PathsFinderOptions pf;
-    pf.engine = opts.engine;
-    spec->split_config = core::paths_finder_config(tree, n, t, pf);
-    adversary_label = harness::adversary_name(spec->kind);
-    adv = harness::make_adversary(*spec);
+    adv = std::move(*parsed);
+    adversary_label = harness::adversary_name(adv.kind);
   } else {
     // Resolve the adversary through the registry. split1 parses but does not
-    // apply to TreeAA, so it stays "unknown" here exactly as before.
+    // apply here, so it stays "unknown" exactly as before.
     const auto adv_kind = harness::adversary_from_name(adversary);
     if (!adv_kind.has_value() ||
-        !harness::adversary_applies(harness::ProtocolKind::kTreeAA,
-                                    *adv_kind)) {
+        !harness::adversary_applies(protocol, *adv_kind)) {
       usage("unknown adversary '" + adversary + "'");
     }
     Rng rng(flags.seed);
-    harness::AdversarySpec spec;
-    spec.kind = *adv_kind;
+    adv.kind = *adv_kind;
     // Historical draw order: victims come off the seed stream unconditionally
     // (even for --adversary none), and fuzz payloads reuse the CLI seed.
-    spec.victims = sim::random_parties(n, t, rng);
-    spec.fuzz_seed = flags.seed;
-    if (spec.kind == harness::AdversaryKind::kSplit) {
-      spec.split_config = core::paths_finder_config(tree, n, t, {});
-    }
-    adv = harness::make_adversary(spec);
+    adv.victims = sim::random_parties(n, t, rng);
+    adv.fuzz_seed = flags.seed;
   }
+  // A split attack aims at the registry's split target: PathsFinder's RealAA
+  // over the tree, or over the agreement tree the inner TreeAA runs on.
+  adv.split_config = *harness::split_target(spec);
+  spec.adversary = harness::make_adversary(adv);
 
   obs::RunReport report;
   sim::RecordingTracer text_tracer;
@@ -345,26 +364,16 @@ int cmd_run(const std::vector<std::string>& args) {
     report.add_param("adversary", adversary_label);
     report.add_param("seed", flags.seed);
   }
+  spec.hooks = hooks.active() ? &hooks : nullptr;
 
-  // --threads only changes wall-clock: outputs, reports and traces are
-  // byte-identical to the serial engine for any value.
-  const auto result =
-      core::run_tree_aa(tree, inputs, t, opts, std::move(adv),
-                        hooks.active() ? &hooks : nullptr,
-                        sim::EngineOptions{flags.threads});
-
-  std::vector<VertexId> honest_inputs;
-  for (PartyId p = 0; p < n; ++p) {
-    if (result.outputs[p].has_value()) honest_inputs.push_back(inputs[p]);
-  }
-  const auto check =
-      core::check_agreement(tree, honest_inputs, result.honest_outputs());
+  const harness::RunOutcome result = harness::run_protocol(spec);
+  const harness::Verdict verdict = harness::check_outcome(spec, result);
 
   if (hooks.report != nullptr) {
-    report.add_outcome("validity", check.valid);
-    report.add_outcome("one_agreement", check.one_agreement);
+    report.add_outcome("validity", verdict.valid);
+    report.add_outcome("one_agreement", verdict.agreement);
     report.add_outcome("max_pairwise_distance",
-                       static_cast<std::uint64_t>(check.max_pairwise_distance));
+                       static_cast<std::uint64_t>(verdict.spread));
     const std::string json = report.to_json(flags.timings) + "\n";
     if (!obs::write_sink(flags.metrics_path, json)) return 2;
     if (flags.report_json && flags.metrics_path != "-") std::cout << json;
@@ -385,10 +394,9 @@ int cmd_run(const std::vector<std::string>& args) {
     if (!flags.quiet) {
       Table table({"party", "input", "output"});
       for (PartyId p = 0; p < n; ++p) {
+        const auto& out = result.vertex_outputs[p];
         table.row({std::to_string(p), input_labels[p],
-                   result.outputs[p].has_value()
-                       ? tree.label(*result.outputs[p])
-                       : "(corrupt)"});
+                   out.has_value() ? label_of(*out) : "(corrupt)"});
       }
       std::cout << table.render();
     }
@@ -400,11 +408,11 @@ int cmd_run(const std::vector<std::string>& args) {
               << "path split: " << (result.path_split ? "yes" : "no")
               << "  clamps: " << result.clamp_count
               << "  byzantine proven: " << result.max_detected_faulty << "\n"
-              << "validity: " << (check.valid ? "ok" : "VIOLATED")
+              << "validity: " << (verdict.valid ? "ok" : "VIOLATED")
               << "  1-agreement: "
-              << (check.one_agreement ? "ok" : "VIOLATED") << "\n";
+              << (verdict.agreement ? "ok" : "VIOLATED") << "\n";
   }
-  return check.ok() ? 0 : 1;
+  return verdict.ok() ? 0 : 1;
 }
 
 int cmd_run_async(const std::vector<std::string>& args) {
@@ -423,13 +431,13 @@ int cmd_run_async(const std::vector<std::string>& args) {
       return args[++i];
     };
     if (args[i] == "--t") {
-      t = std::stoul(next());
+      t = tools::parse_unsigned("--t", next(), fail);
     } else if (args[i] == "--inputs") {
       input_labels = split_csv(next());
     } else if (args[i] == "--scheduler") {
       scheduler = next();
     } else if (args[i] == "--silent") {
-      silent = std::stoul(next());
+      silent = tools::parse_unsigned("--silent", next(), fail);
     } else if (tools::parse_common_flag(args, i, kRunAsyncFlags, flags,
                                         fail)) {
       // consumed
@@ -447,18 +455,22 @@ int cmd_run_async(const std::vector<std::string>& args) {
   }
   if (silent > t) usage("--silent must be <= t");
 
-  std::vector<VertexId> inputs;
+  harness::RunSpec spec;
+  spec.protocol = harness::ProtocolKind::kAsyncTreeAA;
+  spec.n = n;
+  spec.t = t;
+  spec.tree = &tree;
   for (const auto& label : input_labels) {
     const auto v = tree.find(label);
     if (!v.has_value()) usage("no vertex labeled '" + label + "'");
-    inputs.push_back(*v);
+    spec.vertex_inputs.push_back(*v);
   }
 
   const auto sched = harness::scheduler_from_name(scheduler);
   if (!sched.has_value()) usage("unknown scheduler '" + scheduler + "'");
 
   Rng rng(flags.seed);
-  auto corrupt = sim::random_parties(n, silent, rng);
+  spec.async_opts = {sim::random_parties(n, silent, rng), *sched, flags.seed};
 
   obs::RunReport report;
   obs::Hooks hooks;
@@ -466,21 +478,14 @@ int cmd_run_async(const std::vector<std::string>& args) {
     hooks.report = &report;
   }
   if (hooks.report != nullptr) report.add_param("scheduler", scheduler);
+  spec.hooks = hooks.active() ? &hooks : nullptr;
 
-  const auto run = harness::run_async_tree_aa(
-      tree, n, t, inputs, {std::move(corrupt), *sched, flags.seed}, nullptr,
-      hooks.active() ? &hooks : nullptr);
-
-  std::vector<VertexId> honest_inputs;
-  for (PartyId p = 0; p < n; ++p) {
-    if (run.outputs[p].has_value()) honest_inputs.push_back(inputs[p]);
-  }
-  const auto check =
-      core::check_agreement(tree, honest_inputs, run.honest_outputs());
+  const harness::RunOutcome run = harness::run_protocol(spec);
+  const harness::Verdict verdict = harness::check_outcome(spec, run);
 
   if (hooks.report != nullptr) {
-    report.add_outcome("validity", check.valid);
-    report.add_outcome("one_agreement", check.one_agreement);
+    report.add_outcome("validity", verdict.valid);
+    report.add_outcome("one_agreement", verdict.agreement);
     const std::string json = report.to_json(flags.timings) + "\n";
     if (!obs::write_sink(flags.metrics_path, json)) return 2;
     if (flags.report_json && flags.metrics_path != "-") std::cout << json;
@@ -490,19 +495,19 @@ int cmd_run_async(const std::vector<std::string>& args) {
     if (!flags.quiet) {
       Table table({"party", "input", "output"});
       for (PartyId p = 0; p < n; ++p) {
+        const auto& out = run.vertex_outputs[p];
         table.row({std::to_string(p), input_labels[p],
-                   run.outputs[p].has_value() ? tree.label(*run.outputs[p])
-                                              : "(corrupt)"});
+                   out.has_value() ? tree.label(*out) : "(corrupt)"});
       }
       std::cout << table.render();
     }
     std::cout << "deliveries: " << run.deliveries
               << "  messages: " << run.messages << "\n"
-              << "validity: " << (check.valid ? "ok" : "VIOLATED")
+              << "validity: " << (verdict.valid ? "ok" : "VIOLATED")
               << "  1-agreement: "
-              << (check.one_agreement ? "ok" : "VIOLATED") << "\n";
+              << (verdict.agreement ? "ok" : "VIOLATED") << "\n";
   }
-  return check.ok() ? 0 : 1;
+  return verdict.ok() ? 0 : 1;
 }
 
 int cmd_gen_graph(const std::vector<std::string>& args) {
@@ -566,183 +571,6 @@ int cmd_dot_graph(const std::vector<std::string>& args) {
   return 0;
 }
 
-int cmd_run_block(const std::vector<std::string>& args) {
-  if (args.empty()) usage("run-block needs <file|->");
-  const auto g = graphs::graph_from_text(read_all(args[0]));
-  const graphs::BlockIndex index(g);
-
-  std::size_t t = 0;
-  std::vector<std::string> input_labels;
-  std::string adversary = "none";
-  bool adversary_set = false;
-  std::string adversary_spec_path;
-  std::string engine = "bdh";
-  tools::CommonFlags flags;
-  const tools::UsageFn fail = [](const std::string& m) { usage(m); };
-  for (std::size_t i = 1; i < args.size(); ++i) {
-    auto next = [&]() -> const std::string& {
-      if (i + 1 >= args.size()) usage("missing value after " + args[i]);
-      return args[++i];
-    };
-    if (args[i] == "--t") {
-      t = std::stoul(next());
-    } else if (args[i] == "--inputs") {
-      input_labels = split_csv(next());
-    } else if (args[i] == "--adversary") {
-      adversary = next();
-      adversary_set = true;
-    } else if (args[i] == "--adversary-spec") {
-      adversary_spec_path = next();
-    } else if (args[i] == "--engine") {
-      engine = next();
-    } else if (tools::parse_common_flag(args, i, kRunFlags, flags, fail)) {
-      // consumed
-    } else {
-      usage("unknown option '" + args[i] + "'");
-    }
-  }
-  if (input_labels.empty()) usage("--inputs is required");
-  flags.metrics_path = obs::resolve_metrics_path(std::move(flags.metrics_path));
-  const std::size_t n = input_labels.size();
-  if (const auto issue =
-          harness::validate_axes(harness::ProtocolKind::kBlockAA, n, t)) {
-    usage(issue->error == harness::SpecError::kFaultBound ? "need n > 3t"
-                                                          : issue->detail);
-  }
-
-  std::vector<VertexId> inputs;
-  for (const auto& label : input_labels) {
-    const auto v = g.find(label);
-    if (!v.has_value()) usage("no vertex labeled '" + label + "'");
-    inputs.push_back(*v);
-  }
-
-  graphs::BlockAAOptions opts;
-  if (engine == "classic") {
-    opts.engine = core::RealEngineKind::kClassicHalving;
-  } else if (engine != "bdh") {
-    usage("unknown engine '" + engine + "'");
-  }
-
-  std::unique_ptr<sim::Adversary> adv;
-  std::string adversary_label = adversary;
-  if (!adversary_spec_path.empty()) {
-    if (adversary_set) {
-      usage("--adversary-spec cannot be combined with --adversary");
-    }
-    std::string error;
-    auto spec = harness::adversary_spec_from_json(
-        read_all(adversary_spec_path), &error);
-    if (!spec.has_value()) usage("--adversary-spec: " + error);
-    if (const auto issue = harness::validate_axes(
-            harness::ProtocolKind::kBlockAA, n, t, spec->kind)) {
-      usage(issue->detail);
-    }
-    // The split adversary aims at the agreement tree — the topology the
-    // inner TreeAA actually runs on.
-    core::PathsFinderOptions pf;
-    pf.engine = opts.engine;
-    spec->split_config =
-        core::paths_finder_config(index.agreement_tree(), n, t, pf);
-    adversary_label = harness::adversary_name(spec->kind);
-    adv = harness::make_adversary(*spec);
-  } else {
-    const auto adv_kind = harness::adversary_from_name(adversary);
-    if (!adv_kind.has_value() ||
-        !harness::adversary_applies(harness::ProtocolKind::kBlockAA,
-                                    *adv_kind)) {
-      usage("unknown adversary '" + adversary + "'");
-    }
-    Rng rng(flags.seed);
-    harness::AdversarySpec spec;
-    spec.kind = *adv_kind;
-    // Same historical draw order as `run`: victims come off the seed stream
-    // unconditionally, fuzz payloads reuse the CLI seed, and the split
-    // adversary aims at the agreement tree.
-    spec.victims = sim::random_parties(n, t, rng);
-    spec.fuzz_seed = flags.seed;
-    if (spec.kind == harness::AdversaryKind::kSplit) {
-      spec.split_config =
-          core::paths_finder_config(index.agreement_tree(), n, t, {});
-    }
-    adv = harness::make_adversary(spec);
-  }
-
-  obs::RunReport report;
-  sim::RecordingTracer text_tracer;
-  obs::JsonlTracer jsonl_tracer;
-  obs::SpanSink span_sink;
-  obs::Hooks hooks;
-  if (!flags.metrics_path.empty() || flags.report_json) {
-    hooks.report = &report;
-  }
-  if (!flags.trace_path.empty()) {
-    hooks.tracer = flags.trace_format == "jsonl"
-                       ? static_cast<sim::Tracer*>(&jsonl_tracer)
-                       : static_cast<sim::Tracer*>(&text_tracer);
-  }
-  if (!flags.spans_path.empty()) hooks.spans = &span_sink;
-  if (hooks.report != nullptr) {
-    report.add_param("adversary", adversary_label);
-    report.add_param("seed", flags.seed);
-  }
-
-  const auto result =
-      graphs::run_block_aa(index, inputs, t, opts, std::move(adv),
-                           hooks.active() ? &hooks : nullptr,
-                           sim::EngineOptions{flags.threads});
-
-  std::vector<VertexId> honest_inputs;
-  for (PartyId p = 0; p < n; ++p) {
-    if (result.outputs[p].has_value()) honest_inputs.push_back(inputs[p]);
-  }
-  const auto check =
-      graphs::check_agreement(index, honest_inputs, result.honest_outputs());
-
-  if (hooks.report != nullptr) {
-    report.add_outcome("validity", check.valid);
-    report.add_outcome("one_agreement", check.one_agreement);
-    report.add_outcome("max_pairwise_distance",
-                       static_cast<std::uint64_t>(check.max_pairwise_distance));
-    const std::string json = report.to_json(flags.timings) + "\n";
-    if (!obs::write_sink(flags.metrics_path, json)) return 2;
-    if (flags.report_json && flags.metrics_path != "-") std::cout << json;
-  }
-  if (!flags.trace_path.empty()) {
-    write_output(flags.trace_path, flags.trace_format == "jsonl"
-                                       ? jsonl_tracer.text()
-                                       : text_tracer.text());
-  }
-  if (!flags.spans_path.empty()) {
-    write_output(flags.spans_path, span_sink.to_chrome_json());
-  }
-
-  if (!flags.report_json && flags.metrics_path != "-" &&
-      flags.trace_path != "-" && flags.spans_path != "-") {
-    if (!flags.quiet) {
-      Table table({"party", "input", "output"});
-      for (PartyId p = 0; p < n; ++p) {
-        table.row({std::to_string(p), input_labels[p],
-                   result.outputs[p].has_value() ? g.label(*result.outputs[p])
-                                                 : "(corrupt)"});
-      }
-      std::cout << table.render();
-    }
-    std::cout << "rounds: " << result.rounds
-              << "  messages: " << result.traffic.total_messages()
-              << "  bytes: " << result.traffic.total_bytes()
-              << "  adversarial: " << result.traffic.adversary_messages()
-              << " msgs / " << result.traffic.adversary_bytes() << " bytes\n"
-              << "path split: " << (result.path_split ? "yes" : "no")
-              << "  clamps: " << result.clamp_count
-              << "  byzantine proven: " << result.max_detected_faulty << "\n"
-              << "validity: " << (check.valid ? "ok" : "VIOLATED")
-              << "  1-agreement: "
-              << (check.one_agreement ? "ok" : "VIOLATED") << "\n";
-  }
-  return check.ok() ? 0 : 1;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -755,12 +583,14 @@ int main(int argc, char** argv) {
     if (cmd == "info") return cmd_info(args);
     if (cmd == "dot") return cmd_dot(args);
     if (cmd == "bounds") return cmd_bounds(args);
-    if (cmd == "run") return cmd_run(args);
+    if (cmd == "run") return cmd_run(args, harness::ProtocolKind::kTreeAA);
     if (cmd == "run-async") return cmd_run_async(args);
     if (cmd == "gen-graph") return cmd_gen_graph(args);
     if (cmd == "info-graph") return cmd_info_graph(args);
     if (cmd == "dot-graph") return cmd_dot_graph(args);
-    if (cmd == "run-block") return cmd_run_block(args);
+    if (cmd == "run-block") {
+      return cmd_run(args, harness::ProtocolKind::kBlockAA);
+    }
   } catch (const std::exception& e) {
     std::cerr << "error: " << e.what() << "\n";
     return 1;
