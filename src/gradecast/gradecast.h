@@ -68,16 +68,40 @@ class BatchGradecast {
   [[nodiscard]] const std::vector<GradedValue>& results() const;
 
  private:
-  /// Decodes the round's echo/support traffic into the flat n x n view
-  /// matrix. Per sender, the first syntactically valid message with the
-  /// right tag wins (malformed attempts are skipped, later messages from
-  /// the same sender are still tried); extra valid messages are ignored.
-  void decode_slot_round(std::uint8_t tag,
-                         std::span<const sim::Envelope> inbox);
+  /// A Misra–Gries counter: a candidate value for one leader and its count.
+  struct Counter {
+    ByteView value;
+    std::size_t count = 0;
+  };
 
-  /// The slots sent for leader `l` by every sender whose message decoded,
-  /// sorted lexicographically into `runs_` for run-length counting.
-  void gather_sorted_slots(PartyId l);
+  /// One leader's counters, at counters_[l * k_, l * k_ + live).
+  struct Tally {
+    std::size_t live = 0;
+    /// No value was ever cancelled out, so every count is exact.
+    bool exact = true;
+  };
+
+  /// Tallies one echo/support round in two linear passes over the inbox,
+  /// keeping `k` counters per leader (leaders this party denies are
+  /// skipped when `skip_denied`). Per sender, the first syntactically
+  /// valid message with the right tag counts; malformed attempts are
+  /// skipped and later messages from the same sender are ignored.
+  ///
+  /// Pass 1 decodes each counted message into `row_` and folds it into the
+  /// leaders' Misra–Gries counters, so every value held by more than
+  /// m / (k + 1) of the m present slots survives. A leader whose counters
+  /// never had to cancel holds exact counts of all its values; for the
+  /// others, pass 2 re-decodes the counted messages and makes the
+  /// survivors' counts exact. Without hostile senders pass 2 is skipped.
+  void tally_round(std::uint8_t tag, std::span<const sim::Envelope> inbox,
+                   std::size_t k, bool skip_denied);
+
+  /// Adds one slot value for leader `l` to its counters.
+  void fold(PartyId l, ByteView value);
+
+  /// Leader `l`'s surviving value with the highest exact count, ties broken
+  /// to the lexicographically smallest value; nullptr if none survived.
+  [[nodiscard]] const Counter* best(PartyId l) const;
 
   PartyId self_;
   std::size_t n_;
@@ -91,13 +115,15 @@ class BatchGradecast {
   std::vector<std::optional<Bytes>> my_supports_;     // per leader (step 1)
   std::vector<GradedValue> results_;                  // per leader (step 2)
 
-  // Per-step decode scratch. The views alias inbox payloads and are only
-  // used inside the on_step_end call that produced them; keeping the
-  // buffers as members avoids re-allocating the n x n matrix every step.
-  std::vector<SlotView> slot_matrix_;   // sender q's slot for leader l at
-                                        // [q * n + l]
-  std::vector<bool> sender_valid_;      // sender q's message decoded
-  std::vector<ByteView> runs_;          // per-leader sorted slot values
+  // Per-round tally scratch, O(n) for t = Θ(n): sized once by the
+  // constructor and reused by every step. The views alias inbox payloads
+  // and are only used inside the on_step_end call that produced them.
+  std::vector<SlotView> row_;  // the slots of the sender being decoded
+  std::vector<const sim::Envelope*> counted_;  // per sender: the message
+                                               // that counts, or nullptr
+  std::vector<Counter> counters_;  // k_ per leader, see Tally
+  std::vector<Tally> tallies_;     // per leader
+  std::size_t k_ = 0;              // counters per leader this round
 };
 
 }  // namespace treeaa::gradecast

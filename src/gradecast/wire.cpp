@@ -31,28 +31,36 @@ std::optional<ByteView> decode_leader_view(ByteView msg) {
   }
 }
 
+namespace {
+
 // Batched encoder: the slot-vector layout — tag, varint count, then per
 // slot a presence byte followed by (varint length, bytes) — is sized
 // exactly up front, so the whole message is one allocation filled by a
 // pointer-bump cursor with memcpy for the slot bodies. Byte
 // output is identical to the old incremental ByteWriter encoder (pinned by
-// the codec goldens).
-Bytes encode_slots(std::uint8_t tag, const std::vector<Slot>& slots) {
+// the codec goldens). Slot i is written as ⊥ when `bottom(i)` holds.
+template <typename Bottom>
+Bytes encode_slots_impl(std::uint8_t tag, const std::vector<Slot>& slots,
+                        Bottom bottom) {
+  const auto present = [&](std::size_t i) {
+    return slots[i].has_value() && !bottom(i);
+  };
   std::size_t total = 1 + varint_len(slots.size());
-  for (const Slot& s : slots) {
+  for (std::size_t i = 0; i < slots.size(); ++i) {
     total += 1;
-    if (s.has_value()) total += varint_len(s->size()) + s->size();
+    if (present(i)) total += varint_len(slots[i]->size()) + slots[i]->size();
   }
   Bytes out(total);
   std::uint8_t* p = out.data();
   *p++ = tag;
   p = write_varint(p, slots.size());
-  for (const Slot& s : slots) {
-    if (s.has_value()) {
+  for (std::size_t i = 0; i < slots.size(); ++i) {
+    if (present(i)) {
+      const Bytes& s = *slots[i];
       *p++ = 1;
-      p = write_varint(p, s->size());
-      if (!s->empty()) std::memcpy(p, s->data(), s->size());
-      p += s->size();
+      p = write_varint(p, s.size());
+      if (!s.empty()) std::memcpy(p, s.data(), s.size());
+      p += s.size();
     } else {
       *p++ = 0;
     }
@@ -61,31 +69,25 @@ Bytes encode_slots(std::uint8_t tag, const std::vector<Slot>& slots) {
   return out;
 }
 
-std::optional<std::vector<Slot>> decode_slots(std::uint8_t tag, ByteView msg,
-                                              std::size_t n) {
-  try {
-    ByteReader r(msg);
-    if (r.u8() != tag) return std::nullopt;
-    auto slots = r.vec<Slot>(
-        [](ByteReader& rd) -> Slot {
-          if (rd.u8() == 0) return std::nullopt;
-          return rd.blob();
-        },
-        /*max_len=*/n);
-    r.expect_done();
-    if (slots.size() != n) return std::nullopt;
-    return slots;
-  } catch (const DecodeError&) {
-    return std::nullopt;
-  }
+}  // namespace
+
+Bytes encode_slots(std::uint8_t tag, const std::vector<Slot>& slots) {
+  return encode_slots_impl(tag, slots, [](std::size_t) { return false; });
+}
+
+Bytes encode_slots(std::uint8_t tag, const std::vector<Slot>& slots,
+                   const std::vector<bool>& bottom) {
+  TREEAA_REQUIRE(bottom.size() == slots.size());
+  return encode_slots_impl(tag, slots,
+                           [&](std::size_t i) { return bottom[i]; });
 }
 
 // Batched decoder: a noexcept raw-pointer cursor over the message instead
 // of a throwing ByteReader — the hot realaa/tree-AA delivery path calls
 // this once per received echo/support vector, and exception plumbing is
 // pure overhead when malformed input is an expected case (Byzantine
-// senders). Accepts and rejects exactly the inputs the old reader-based
-// parser did, including non-canonical varints.
+// senders). Accepts and rejects exactly the inputs a ByteReader-based
+// parser of the same layout would, including non-canonical varints.
 bool decode_slots_view(std::uint8_t tag, ByteView msg,
                        std::span<SlotView> out) {
   const std::uint8_t* p = msg.data();

@@ -52,15 +52,17 @@ using SlotView = std::optional<ByteView>;
 [[nodiscard]] Bytes encode_slots(std::uint8_t tag,
                                  const std::vector<Slot>& slots);
 
-/// Decodes an ECHO/SUPPORT message with the given tag; the slot vector must
-/// have exactly `n` entries. nullopt if malformed.
-[[nodiscard]] std::optional<std::vector<Slot>> decode_slots(
-    std::uint8_t tag, ByteView msg, std::size_t n);
+/// encode_slots with every slot whose `bottom` bit is set written as ⊥ (the
+/// echo's deny mask), without copying the slots. `bottom` has one bit per
+/// slot.
+[[nodiscard]] Bytes encode_slots(std::uint8_t tag,
+                                 const std::vector<Slot>& slots,
+                                 const std::vector<bool>& bottom);
 
-/// Zero-copy variant of decode_slots: writes `out.size()` slot views (each
-/// aliasing `msg`) and returns true, or returns false if `msg` is malformed
-/// or its slot count differs from `out.size()`. Accepts and rejects exactly
-/// the same messages as decode_slots.
+/// Decodes an ECHO/SUPPORT message with the given tag into `out.size()`
+/// slot views (each aliasing `msg`) and returns true, or returns false if
+/// `msg` is malformed or its slot count differs from `out.size()`. On
+/// false, `out` holds no meaningful values.
 [[nodiscard]] bool decode_slots_view(std::uint8_t tag, ByteView msg,
                                      std::span<SlotView> out);
 

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "gradecast/wire.h"
+#include "owned_slots.h"
 #include "sim/engine.h"
 #include "sim/strategies.h"
 
@@ -357,7 +358,7 @@ TEST(GradecastWire, LeaderRejectsWrongTagAndTrailing) {
 TEST(GradecastWire, SlotsRoundTrip) {
   std::vector<Slot> slots{Bytes{1}, std::nullopt, Bytes{}, Bytes{9, 9}};
   const Bytes msg = encode_slots(kTagSupport, slots);
-  const auto decoded = decode_slots(kTagSupport, msg, 4);
+  const auto decoded = decode_owned(kTagSupport, msg, 4);
   ASSERT_TRUE(decoded.has_value());
   EXPECT_EQ(*decoded, slots);
 }
@@ -365,14 +366,14 @@ TEST(GradecastWire, SlotsRoundTrip) {
 TEST(GradecastWire, SlotsRejectWrongArity) {
   std::vector<Slot> slots{Bytes{1}, Bytes{2}};
   const Bytes msg = encode_slots(kTagEcho, slots);
-  EXPECT_FALSE(decode_slots(kTagEcho, msg, 3).has_value());
-  EXPECT_FALSE(decode_slots(kTagSupport, msg, 2).has_value());  // wrong tag
+  EXPECT_FALSE(decode_owned(kTagEcho, msg, 3).has_value());
+  EXPECT_FALSE(decode_owned(kTagSupport, msg, 2).has_value());  // wrong tag
 }
 
 TEST(GradecastWire, SlotsRejectGarbage) {
-  EXPECT_FALSE(decode_slots(kTagEcho, Bytes{kTagEcho, 0xFF, 0xFF}, 4)
+  EXPECT_FALSE(decode_owned(kTagEcho, Bytes{kTagEcho, 0xFF, 0xFF}, 4)
                    .has_value());
-  EXPECT_FALSE(decode_slots(kTagEcho, Bytes{}, 4).has_value());
+  EXPECT_FALSE(decode_owned(kTagEcho, Bytes{}, 4).has_value());
 }
 
 }  // namespace

@@ -11,6 +11,7 @@
 
 #include "common/rng.h"
 #include "gradecast/wire.h"
+#include "owned_slots.h"
 
 namespace treeaa::gradecast {
 namespace {
@@ -47,10 +48,10 @@ TEST(GradecastWireFuzz, SlotsRoundTripSurvivesTruncation) {
   const std::vector<Slot> slots{Bytes{1, 2}, std::nullopt, Bytes{},
                                 Bytes{9, 9, 9}};
   const Bytes msg = encode_slots(kTagEcho, slots);
-  ASSERT_EQ(decode_slots(kTagEcho, msg, n), slots);
+  ASSERT_EQ(decode_owned(kTagEcho, msg, n), slots);
   for (std::size_t len = 0; len < msg.size(); ++len) {
     const Bytes prefix(msg.begin(), msg.begin() + static_cast<long>(len));
-    EXPECT_EQ(decode_slots(kTagEcho, prefix, n), std::nullopt)
+    EXPECT_EQ(decode_owned(kTagEcho, prefix, n), std::nullopt)
         << "prefix length " << len;
   }
 }
@@ -58,16 +59,16 @@ TEST(GradecastWireFuzz, SlotsRoundTripSurvivesTruncation) {
 TEST(GradecastWireFuzz, SlotsRejectWrongArityAndTag) {
   const std::vector<Slot> slots{Bytes{1}, std::nullopt, Bytes{2}};
   const Bytes msg = encode_slots(kTagSupport, slots);
-  EXPECT_EQ(decode_slots(kTagEcho, msg, 3), std::nullopt);     // wrong tag
-  EXPECT_EQ(decode_slots(kTagSupport, msg, 4), std::nullopt);  // too few
-  EXPECT_EQ(decode_slots(kTagSupport, msg, 2), std::nullopt);  // too many
+  EXPECT_EQ(decode_owned(kTagEcho, msg, 3), std::nullopt);     // wrong tag
+  EXPECT_EQ(decode_owned(kTagSupport, msg, 4), std::nullopt);  // too few
+  EXPECT_EQ(decode_owned(kTagSupport, msg, 2), std::nullopt);  // too many
 
   // A slot-count prefix far above n must be rejected before any attempt to
   // allocate or read that many slots.
   ByteWriter w;
   w.u8(kTagEcho);
   w.varint(1u << 30);
-  EXPECT_EQ(decode_slots(kTagEcho, std::move(w).take(), 4), std::nullopt);
+  EXPECT_EQ(decode_owned(kTagEcho, std::move(w).take(), 4), std::nullopt);
 }
 
 TEST(GradecastWireFuzz, RandomGarbageNeverDecodesLeaderDangerously) {
@@ -90,7 +91,7 @@ TEST(GradecastWireFuzz, RandomGarbageNeverDecodesSlotsDangerously) {
   for (int iter = 0; iter < 2000; ++iter) {
     Bytes msg(rng.index(96), 0);
     for (auto& b : msg) b = static_cast<std::uint8_t>(rng.next() & 0xFF);
-    const auto slots = decode_slots(kTagEcho, msg, n);
+    const auto slots = decode_owned(kTagEcho, msg, n);
     if (slots.has_value()) {
       ASSERT_EQ(slots->size(), n);
       EXPECT_EQ(encode_slots(kTagEcho, *slots), msg);
@@ -113,8 +114,8 @@ TEST(GradecastWireFuzz, SlotsEncodingGoldenBytes) {
 
 // The pointer-bump encoder sizes the message up front and memcpys each
 // slot body; bodies straddling the one-to-two-byte varint length boundary
-// (127/128) must round-trip exactly, through both the owning and the
-// zero-copy decoder, with the message exactly as long as its layout.
+// (127/128) must round-trip exactly through the zero-copy decoder, both
+// copied out and as views, with the message exactly as long as its layout.
 // A 64-slot echo, half values and half ⊥, must too.
 TEST(GradecastWireFuzz, SlotBodiesRoundTripAtEverySize) {
   for (std::size_t len = 0; len <= 300; ++len) {
@@ -128,7 +129,7 @@ TEST(GradecastWireFuzz, SlotBodiesRoundTripAtEverySize) {
     EXPECT_EQ(msg.size(), 1 + 1 + (1 + varint_len(len) + len) + 1 +
                               (1 + varint_len(len / 2) + len / 2))
         << "len " << len;
-    ASSERT_EQ(decode_slots(kTagSupport, msg, 3), slots) << "len " << len;
+    ASSERT_EQ(decode_owned(kTagSupport, msg, 3), slots) << "len " << len;
 
     std::vector<SlotView> views(3);
     ASSERT_TRUE(decode_slots_view(kTagSupport, msg, views));
@@ -154,7 +155,7 @@ TEST(GradecastWireFuzz, SlotBodiesRoundTripAtEverySize) {
   }
   const Bytes msg = encode_slots(kTagEcho, echo);
   EXPECT_EQ(msg.size(), 1 + 1 + 32 * (1 + 1 + 24) + 32);
-  ASSERT_EQ(decode_slots(kTagEcho, msg, echo.size()), echo);
+  ASSERT_EQ(decode_owned(kTagEcho, msg, echo.size()), echo);
   std::vector<SlotView> views(echo.size());
   ASSERT_TRUE(decode_slots_view(kTagEcho, msg, views));
   for (std::size_t i = 0; i < echo.size(); ++i) {
@@ -190,6 +191,33 @@ TEST(GradecastWireFuzz, SlotsMatchIncrementalByteWriterEncoding) {
   }
 }
 
+// The masked encoder writes the echo straight from the leader values: its
+// bytes must equal encode_slots on a copy whose masked slots are ⊥.
+TEST(GradecastWireFuzz, MaskedSlotsMatchCopiedSlots) {
+  Rng rng(0x3A5C);
+  for (int iter = 0; iter < 500; ++iter) {
+    std::vector<Slot> slots(rng.index(20));
+    std::vector<bool> bottom(slots.size());
+    for (std::size_t i = 0; i < slots.size(); ++i) {
+      bottom[i] = rng.chance(0.3);
+      if (rng.chance(0.3)) continue;
+      Bytes body(rng.index(150), 0);
+      for (auto& b : body) b = static_cast<std::uint8_t>(rng.next() & 0xFF);
+      slots[i] = std::move(body);
+    }
+    std::vector<Slot> copy = slots;
+    for (std::size_t i = 0; i < copy.size(); ++i) {
+      if (bottom[i]) copy[i] = std::nullopt;
+    }
+    ASSERT_EQ(encode_slots(kTagEcho, slots, bottom),
+              encode_slots(kTagEcho, copy))
+        << "iteration " << iter;
+  }
+  EXPECT_THROW((void)encode_slots(kTagEcho, std::vector<Slot>(3),
+                                  std::vector<bool>(2)),
+               std::invalid_argument);
+}
+
 TEST(GradecastWireFuzz, BitFlipsNeverCrashTheDecoder) {
   // The net fault plan's corrupt action flips payload bits; every single-bit
   // variant of a valid message must decode cleanly or fail cleanly.
@@ -199,7 +227,7 @@ TEST(GradecastWireFuzz, BitFlipsNeverCrashTheDecoder) {
     for (int bit = 0; bit < 8; ++bit) {
       Bytes flipped = msg;
       flipped[byte] ^= static_cast<std::uint8_t>(1u << bit);
-      (void)decode_slots(kTagEcho, flipped, 3);
+      (void)decode_owned(kTagEcho, flipped, 3);
       (void)decode_leader(flipped);
     }
   }

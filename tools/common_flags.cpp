@@ -32,6 +32,14 @@ std::uint64_t parse_unsigned(const std::string& flag, const std::string& text,
   return value;
 }
 
+std::uint64_t parse_unsigned_at_most(const std::string& flag,
+                                     const std::string& text,
+                                     std::uint64_t max, const UsageFn& fail) {
+  const std::uint64_t value = parse_unsigned(flag, text, fail);
+  if (value > max) fail(flag + " must be at most " + std::to_string(max));
+  return value;
+}
+
 bool parse_common_flag(const std::vector<std::string>& args, std::size_t& i,
                        const CommonFlagSet& set, CommonFlags& flags,
                        const UsageFn& fail) {

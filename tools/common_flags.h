@@ -72,6 +72,12 @@ bool parse_common_flag(const std::vector<std::string>& args, std::size_t& i,
 std::uint64_t parse_unsigned(const std::string& flag, const std::string& text,
                              const UsageFn& fail);
 
+/// parse_unsigned, and a value above `max` calls `fail` with "<flag> must
+/// be at most <max>": a TCP port (65535) or an int-sized field.
+std::uint64_t parse_unsigned_at_most(const std::string& flag,
+                                     const std::string& text,
+                                     std::uint64_t max, const UsageFn& fail);
+
 /// The usage-line fragment for the enabled flags, in canonical order:
 /// "[--seed <s>] [--threads <k>] [--metrics <file|->] ...". Empty set,
 /// empty string.

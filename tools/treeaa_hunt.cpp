@@ -136,16 +136,16 @@ int main(int argc, char** argv) {
       cli.objective = *o;
       objective_set = true;
     } else if (args[i] == "--population") {
-      cli.population = std::stoul(next());
+      cli.population = tools::parse_unsigned("--population", next(), fail);
       population_set = true;
     } else if (args[i] == "--generations") {
-      cli.generations = std::stoul(next());
+      cli.generations = tools::parse_unsigned("--generations", next(), fail);
       generations_set = true;
     } else if (args[i] == "--elites") {
-      cli.elites = std::stoul(next());
+      cli.elites = tools::parse_unsigned("--elites", next(), fail);
       elites_set = true;
     } else if (args[i] == "--corpus-max") {
-      cli.corpus_max = std::stoul(next());
+      cli.corpus_max = tools::parse_unsigned("--corpus-max", next(), fail);
       corpus_max_set = true;
     } else if (args[i] == "--no-crashes") {
       no_crashes = true;

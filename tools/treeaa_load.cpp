@@ -107,28 +107,29 @@ int run(const std::vector<std::string>& args) {
     if (args[i] == "--unix") {
       unix_path = next();
     } else if (args[i] == "--tcp") {
-      tcp_port = static_cast<std::uint16_t>(std::stoul(next()));
+      tcp_port = static_cast<std::uint16_t>(
+          tools::parse_unsigned_at_most("--tcp", next(), 65535, fail));
       have_tcp = true;
     } else if (args[i] == "--sessions") {
-      sessions = std::stoul(next());
+      sessions = tools::parse_unsigned("--sessions", next(), fail);
     } else if (args[i] == "--connections") {
-      connections = std::stoul(next());
+      connections = tools::parse_unsigned("--connections", next(), fail);
     } else if (args[i] == "--concurrency") {
-      concurrency = std::stoul(next());
+      concurrency = tools::parse_unsigned("--concurrency", next(), fail);
     } else if (args[i] == "--protocol") {
       protocols.push_back(next());
     } else if (args[i] == "--topology") {
       base.topology = next();
     } else if (args[i] == "--tenants") {
-      tenants = std::stoul(next());
+      tenants = tools::parse_unsigned("--tenants", next(), fail);
     } else if (args[i] == "--n") {
-      base.n = std::stoull(next());
+      base.n = tools::parse_unsigned("--n", next(), fail);
     } else if (args[i] == "--t") {
-      base.t = std::stoull(next());
+      base.t = tools::parse_unsigned("--t", next(), fail);
     } else if (args[i] == "--adversary") {
       base.adversary = next();
     } else if (args[i] == "--corrupt") {
-      base.corrupt = std::stoull(next());
+      base.corrupt = tools::parse_unsigned("--corrupt", next(), fail);
     } else if (args[i] == "--inputs") {
       const std::string& v = next();
       if (v == "spread") {
@@ -143,7 +144,7 @@ int run(const std::vector<std::string>& args) {
     } else if (args[i] == "--known-range") {
       base.known_range = std::stod(next());
     } else if (args[i] == "--min-complete") {
-      min_complete = std::stoul(next());
+      min_complete = tools::parse_unsigned("--min-complete", next(), fail);
     } else if (args[i] == "--max-p99-ms") {
       max_p99_ms = std::stod(next());
     } else if (args[i] == "--expect-reject") {

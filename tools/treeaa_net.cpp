@@ -35,6 +35,7 @@
 #include <algorithm>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <optional>
 #include <sstream>
 #include <string>
@@ -42,6 +43,7 @@
 #include <vector>
 
 #include "common/table.h"
+#include "common/types.h"
 #include "common_flags.h"
 #include "graphs/serialization.h"
 #include "net/deploy.h"
@@ -122,7 +124,7 @@ int run(const std::vector<std::string>& args) {
       return args[++i];
     };
     if (args[i] == "--t") {
-      t = std::stoul(next());
+      t = tools::parse_unsigned("--t", next(), fail);
     } else if (args[i] == "--graph") {
       graph_mode = true;
     } else if (args[i] == "--inputs") {
@@ -130,11 +132,12 @@ int run(const std::vector<std::string>& args) {
     } else if (args[i] == "--adversary") {
       adversary = next();
     } else if (args[i] == "--corrupt") {
-      cfg.corrupt_count = std::stoul(next());
+      cfg.corrupt_count = tools::parse_unsigned("--corrupt", next(), fail);
     } else if (args[i] == "--faults") {
       faults_spec = next();
     } else if (args[i] == "--timeout-ms") {
-      cfg.round_timeout_ms = std::stoi(next());
+      cfg.round_timeout_ms = static_cast<int>(tools::parse_unsigned_at_most(
+          "--timeout-ms", next(), std::numeric_limits<int>::max(), fail));
       if (cfg.round_timeout_ms <= 0) usage("--timeout-ms must be positive");
     } else if (args[i] == "--engine") {
       engine = next();
@@ -157,7 +160,7 @@ int run(const std::vector<std::string>& args) {
   if (input_labels.empty()) usage("--inputs is required");
   report_path = obs::resolve_metrics_path(std::move(report_path));
   const std::size_t n = input_labels.size();
-  if (n <= 3 * t) usage("need n > 3t");
+  if (!fault_bound_holds(n, t)) usage("need n > 3t");
 
   // The two topology worlds. In graph mode the BlockIndex wraps the parsed
   // block graph; labels resolve against G, and the pretty-printed outputs

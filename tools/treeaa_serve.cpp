@@ -109,9 +109,14 @@ GenSpec parse_gen(const std::string& s, const char* flag) {
   if (parts.size() < 2 || parts.size() > 3) {
     usage(std::string(flag) + " needs <family>:<size>[:<seed>]");
   }
+  const tools::UsageFn fail = [](const std::string& m) { usage(m); };
   spec.family = parts[0];
-  spec.size = std::stoul(parts[1]);
-  if (parts.size() == 3) spec.seed = std::stoull(parts[2]);
+  spec.size =
+      tools::parse_unsigned(std::string(flag) + " size", parts[1], fail);
+  if (parts.size() == 3) {
+    spec.seed =
+        tools::parse_unsigned(std::string(flag) + " seed", parts[2], fail);
+  }
   return spec;
 }
 
@@ -150,7 +155,8 @@ int run(const std::vector<std::string>& args) {
     if (args[i] == "--unix") {
       opts.unix_path = next();
     } else if (args[i] == "--tcp") {
-      opts.tcp_port = static_cast<std::uint16_t>(std::stoul(next()));
+      opts.tcp_port = static_cast<std::uint16_t>(
+          tools::parse_unsigned_at_most("--tcp", next(), 65535, fail));
     } else if (args[i] == "--topology") {
       const auto [name, file] = split_assign(next(), "--topology");
       catalog.add_tree(name, tree_from_text(read_file(file)));
@@ -164,11 +170,12 @@ int run(const std::vector<std::string>& args) {
       const auto [name, spec] = split_assign(next(), "--gen-graph");
       catalog.add_graph(name, gen_graph(parse_gen(spec, "--gen-graph")));
     } else if (args[i] == "--max-inflight") {
-      opts.max_inflight_per_tenant = std::stoul(next());
+      opts.max_inflight_per_tenant =
+          tools::parse_unsigned("--max-inflight", next(), fail);
     } else if (args[i] == "--max-queue") {
-      opts.max_queue = std::stoul(next());
+      opts.max_queue = tools::parse_unsigned("--max-queue", next(), fail);
     } else if (args[i] == "--batch") {
-      opts.max_batch = std::stoul(next());
+      opts.max_batch = tools::parse_unsigned("--batch", next(), fail);
     } else if (args[i] == "--ledger") {
       opts.ledger = true;
     } else if (args[i] == "--port-file") {

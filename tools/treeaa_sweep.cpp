@@ -98,9 +98,10 @@ int main(int argc, char** argv) {
     } else if (args[i] == "--out") {
       out_path = next();
     } else if (args[i] == "--run-threads") {
-      sweep_opts.run_threads = std::stoul(next());
+      sweep_opts.run_threads =
+          tools::parse_unsigned("--run-threads", next(), fail);
     } else if (args[i] == "--chunk") {
-      sweep_opts.chunk = std::stoul(next());
+      sweep_opts.chunk = tools::parse_unsigned("--chunk", next(), fail);
     } else if (args[i] == "--full") {
       sweep_opts.collect_reports = true;
       report_opts.include_cell_reports = true;
