@@ -9,9 +9,12 @@
 
 #include "exp/report.h"
 #include "exp/spec.h"
+#include "support/golden.h"
 
 namespace treeaa::exp {
 namespace {
+
+using test_support::fnv1a64;
 
 // 64 cells mixing both value domains, every applicable adversary, and a
 // repeat axis — small trees so the whole sweep stays fast under ctest.
@@ -182,15 +185,6 @@ TEST(Sweep, RunThreadsNeverChangeReport) {
   EXPECT_EQ(render({.threads = 1, .run_threads = 4}), base);
   EXPECT_EQ(render({.threads = 8, .run_threads = 4}), base);
   EXPECT_EQ(render({.threads = 2, .run_threads = 0}), base);
-}
-
-std::uint64_t fnv1a64(const std::string& s) {
-  std::uint64_t h = 14695981039346656037ull;
-  for (const char c : s) {
-    h ^= static_cast<std::uint8_t>(c);
-    h *= 1099511628211ull;
-  }
-  return h;
 }
 
 // Every sweep protocol, every adversary kind the grid accepts (split and

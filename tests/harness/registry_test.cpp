@@ -21,10 +21,13 @@
 #include "graphs/generators.h"
 #include "harness/runner.h"
 #include "obs/report.h"
+#include "support/golden.h"
 #include "trees/generators.h"
 
 namespace treeaa {
 namespace {
+
+using test_support::fnv1a64;
 
 TEST(RegistryTest, ProtocolNamesRoundTrip) {
   std::vector<std::string> seen;
@@ -389,15 +392,6 @@ TEST(RegistryTest, ThreadsNeverChangeOutcomeOrReport) {
 }
 
 /// FNV-1a 64 over a string: a compact witness for pinning report bytes.
-std::uint64_t fnv1a64(const std::string& s) {
-  std::uint64_t h = 14695981039346656037ull;
-  for (const char c : s) {
-    h ^= static_cast<std::uint8_t>(c);
-    h *= 1099511628211ull;
-  }
-  return h;
-}
-
 /// Pins the canonical report bytes of every synchronous protocol across
 /// commits, not just across thread counts: one fixed spec per protocol
 /// (fixed tree or block graph, fuzz adversary with a fixed seed), and the

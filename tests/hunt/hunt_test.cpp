@@ -14,9 +14,12 @@
 
 #include "hunt/report.h"
 #include "hunt/scenario.h"
+#include "support/golden.h"
 
 namespace treeaa {
 namespace {
+
+using test_support::fnv1a64;
 
 hunt::Scenario small_real_scenario() {
   hunt::Scenario s;
@@ -146,15 +149,6 @@ TEST(HuntTest, ObjectiveNamesRoundTrip) {
     EXPECT_EQ(*back, o);
   }
   EXPECT_FALSE(hunt::objective_from_name("coverage").has_value());
-}
-
-std::uint64_t fnv1a64(const std::string& s) {
-  std::uint64_t h = 14695981039346656037ull;
-  for (const char c : s) {
-    h ^= static_cast<std::uint8_t>(c);
-    h *= 1099511628211ull;
-  }
-  return h;
 }
 
 /// Pins hunt_report/1 and hunt_corpus/1 bytes across commits (FNV-1a 64),

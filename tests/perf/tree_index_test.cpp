@@ -4,8 +4,8 @@
 // by check_agreement, so every query must agree exactly with the naive
 // references: across every generator family plus the chainy trees,
 // exhaustively on small trees and around the RMQ's 64-entry block
-// boundaries, and on sampled windows spanning one, two and many blocks of
-// 4096-vertex trees.
+// boundaries, on sampled windows spanning one, two and many blocks of
+// 4096-vertex trees, and on sampled pairs of a 2^16-vertex tree.
 #include "perf/tree_index.h"
 
 #include <gtest/gtest.h>
@@ -114,8 +114,15 @@ std::vector<VertexId> query_vertices(const LabeledTree& tree, Rng& rng) {
 }
 
 TEST(TreeIndexTest, PairQueriesMatchNaiveWalks) {
+  std::vector<Sample> samples = sample_trees();
+  // One tree at 2^16 vertices, 16x the largest elsewhere in this file. It
+  // stays out of sample_trees(): the median test is quadratic in depth.
+  // (2^18 took ~2.7 s here under ASan.)
+  Rng big_rng(0xE0E0 + (1 << 16));
+  samples.push_back({"chainy_2^16",
+                     make_random_chainy_tree(1 << 16, big_rng, 0.5)});
   Rng rng(1);
-  for (const Sample& s : sample_trees()) {
+  for (const Sample& s : samples) {
     SCOPED_TRACE(s.name);
     const perf::TreeIndex index(s.tree);
     EXPECT_EQ(index.n(), s.tree.n());

@@ -10,10 +10,13 @@
 
 #include "common/rng.h"
 #include "graphs/generators.h"
+#include "support/golden.h"
 #include "trees/generators.h"
 
 namespace treeaa::serve {
 namespace {
+
+using test_support::fnv1a64;
 
 Catalog test_catalog() {
   Catalog catalog;
@@ -211,15 +214,6 @@ TEST(RunInstance, SpreadInputsAreDeterministicWithoutSeedDependence) {
   other.seed = 999;
   EXPECT_EQ(run_instance(catalog, req).reply.outputs_hash,
             run_instance(catalog, other).reply.outputs_hash);
-}
-
-std::uint64_t fnv1a64(const Bytes& bytes) {
-  std::uint64_t h = 14695981039346656037ull;
-  for (const std::uint8_t b : bytes) {
-    h ^= b;
-    h *= 1099511628211ull;
-  }
-  return h;
 }
 
 /// Pins the encoded ResultReply of one request per registry protocol across

@@ -16,10 +16,13 @@
 #include "graphs/generators.h"
 #include "net/socket.h"
 #include "serve/client.h"
+#include "support/golden.h"
 #include "trees/generators.h"
 
 namespace treeaa::serve {
 namespace {
+
+using test_support::fnv1a64;
 
 Catalog test_catalog() {
   Catalog catalog;
@@ -295,15 +298,6 @@ TEST(Server, CanonicalReportIsByteIdenticalAcrossThreadCounts) {
   // And it carries the schema plus a timing-free body.
   EXPECT_NE(serial.find("treeaa.serve_report/1"), std::string::npos);
   EXPECT_EQ(serial.find("latency"), std::string::npos);
-}
-
-std::uint64_t fnv1a64(const Bytes& bytes) {
-  std::uint64_t h = 14695981039346656037ull;
-  for (const std::uint8_t b : bytes) {
-    h ^= b;
-    h *= 1099511628211ull;
-  }
-  return h;
 }
 
 /// The encoded replies of one request per registry protocol, served by a

@@ -7,42 +7,16 @@
 // purpose re-records it and says why.
 #include <gtest/gtest.h>
 
-#include <sys/wait.h>
-
 #include <cstdint>
-#include <cstdio>
 #include <string>
+
+#include "support/golden.h"
 
 namespace {
 
-std::uint64_t fnv1a64(const std::string& s) {
-  std::uint64_t h = 14695981039346656037ull;
-  for (const char c : s) {
-    h ^= static_cast<std::uint8_t>(c);
-    h *= 1099511628211ull;
-  }
-  return h;
-}
-
-struct Captured {
-  int exit_code = -1;
-  std::string out;
-};
-
-/// Runs `command` under sh and captures its stdout and exit code.
-Captured run_shell(const std::string& command) {
-  Captured c;
-  FILE* pipe = popen(command.c_str(), "r");
-  if (pipe == nullptr) return c;
-  char buf[4096];
-  std::size_t got = 0;
-  while ((got = std::fread(buf, 1, sizeof buf, pipe)) > 0) {
-    c.out.append(buf, got);
-  }
-  const int status = pclose(pipe);
-  if (WIFEXITED(status)) c.exit_code = WEXITSTATUS(status);
-  return c;
-}
+using treeaa::test_support::Captured;
+using treeaa::test_support::fnv1a64;
+using treeaa::test_support::run_shell;
 
 const std::string kCli = TREEAA_CLI_PATH;
 const std::string kTree = kCli + " gen spider 20 3 | " + kCli;

@@ -1,6 +1,7 @@
 #include "common_flags.h"
 
 #include <charconv>
+#include <cmath>
 
 namespace treeaa::tools {
 
@@ -37,6 +38,18 @@ std::uint64_t parse_unsigned_at_most(const std::string& flag,
                                      std::uint64_t max, const UsageFn& fail) {
   const std::uint64_t value = parse_unsigned(flag, text, fail);
   if (value > max) fail(flag + " must be at most " + std::to_string(max));
+  return value;
+}
+
+double parse_positive_double(const std::string& flag, const std::string& text,
+                             const UsageFn& fail) {
+  double value = 0;
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (ec != std::errc() || ptr != end || !std::isfinite(value) ||
+      value <= 0) {
+    fail(flag + " expects a positive finite number");
+  }
   return value;
 }
 

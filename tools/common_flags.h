@@ -78,6 +78,12 @@ std::uint64_t parse_unsigned_at_most(const std::string& flag,
                                      const std::string& text,
                                      std::uint64_t max, const UsageFn& fail);
 
+/// Reads `text`, the value of `flag`, as a whole decimal number that is
+/// finite and greater than zero. Stray characters, NaN, an infinity or a
+/// value <= 0 call `fail` with "<flag> expects a positive finite number".
+double parse_positive_double(const std::string& flag, const std::string& text,
+                             const UsageFn& fail);
+
 /// The usage-line fragment for the enabled flags, in canonical order:
 /// "[--seed <s>] [--threads <k>] [--metrics <file|->] ...". Empty set,
 /// empty string.

@@ -152,10 +152,18 @@ std::vector<std::string> split_csv(const std::string& s) {
   return out;
 }
 
+/// <n> and the optional [seed] of `gen` and `gen-graph`.
+std::pair<std::size_t, std::uint64_t> size_and_seed(
+    const std::vector<std::string>& args) {
+  const tools::UsageFn fail = [](const std::string& m) { usage(m); };
+  return {tools::parse_unsigned("<n>", args[1], fail),
+          args.size() == 3 ? tools::parse_unsigned("<seed>", args[2], fail)
+                           : 1};
+}
+
 int cmd_gen(const std::vector<std::string>& args) {
   if (args.size() < 2 || args.size() > 3) usage("gen needs <family> <n>");
-  const std::size_t n = std::stoul(args[1]);
-  const std::uint64_t seed = args.size() == 3 ? std::stoull(args[2]) : 1;
+  const auto [n, seed] = size_and_seed(args);
   Rng rng(seed);
   for (const TreeFamily f : all_tree_families()) {
     if (args[0] == tree_family_name(f)) {
@@ -212,9 +220,10 @@ int cmd_dot(const std::vector<std::string>& args) {
 
 int cmd_bounds(const std::vector<std::string>& args) {
   if (args.size() != 3) usage("bounds needs <D> <n> <t>");
-  const double d = std::stod(args[0]);
-  const std::size_t n = std::stoul(args[1]);
-  const std::size_t t = std::stoul(args[2]);
+  const tools::UsageFn fail = [](const std::string& m) { usage(m); };
+  const double d = tools::parse_positive_double("<D>", args[0], fail);
+  const std::size_t n = tools::parse_unsigned("<n>", args[1], fail);
+  const std::size_t t = tools::parse_unsigned("<t>", args[2], fail);
   std::cout << "Fekete/Theorem-2 lower bound: "
             << bounds::lower_bound_rounds(d, n, t) << " rounds\n"
             << "Theorem-2 closed form:        "
@@ -512,8 +521,7 @@ int cmd_run_async(const std::vector<std::string>& args) {
 
 int cmd_gen_graph(const std::vector<std::string>& args) {
   if (args.size() < 2 || args.size() > 3) usage("gen-graph needs <family> <n>");
-  const std::size_t n = std::stoul(args[1]);
-  const std::uint64_t seed = args.size() == 3 ? std::stoull(args[2]) : 1;
+  const auto [n, seed] = size_and_seed(args);
   Rng rng(seed);
   for (const graphs::GraphFamily f : graphs::all_graph_families()) {
     if (args[0] == graphs::graph_family_name(f)) {

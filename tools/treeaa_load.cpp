@@ -140,13 +140,14 @@ int run(const std::vector<std::string>& args) {
         usage("--inputs must be spread or random");
       }
     } else if (args[i] == "--eps") {
-      base.eps = std::stod(next());
+      base.eps = tools::parse_positive_double("--eps", next(), fail);
     } else if (args[i] == "--known-range") {
-      base.known_range = std::stod(next());
+      base.known_range =
+          tools::parse_positive_double("--known-range", next(), fail);
     } else if (args[i] == "--min-complete") {
       min_complete = tools::parse_unsigned("--min-complete", next(), fail);
     } else if (args[i] == "--max-p99-ms") {
-      max_p99_ms = std::stod(next());
+      max_p99_ms = tools::parse_positive_double("--max-p99-ms", next(), fail);
     } else if (args[i] == "--expect-reject") {
       expect_reject = true;
     } else if (tools::parse_common_flag(args, i, kLoadFlags, flags, fail)) {

@@ -165,7 +165,7 @@ int main(int argc, char** argv) {
     } else if (args[i] == "--out") {
       out_path = next();
     } else if (args[i] == "--eps") {
-      eps_override = std::stod(next());
+      eps_override = tools::parse_positive_double("--eps", next(), fail);
     } else if (args[i] == "--strict-fekete") {
       strict_fekete = true;
     } else if (tools::parse_common_flag(args, i, kTraceFlags, flags, fail)) {
