@@ -11,9 +11,11 @@
 // Rng(kSoakSeed).fork(cell), so a cell's execution is independent of how
 // many cells ran before it — shrinking the sweep with --runs N keeps the
 // surviving cells bit-identical. `--threads K` runs the synchronous engine
-// on K lanes (the async soak is untouched: its model has no lock-step
-// phases to fan out); violation counts and metrics are byte-identical for
-// every K, and the value is echoed in the report's "params" object.
+// on up to K lanes, one per eight parties at most, so only the n = 16..18
+// runs take a second lane (the async soak is untouched: its model has no
+// lock-step phases to fan out); violation counts and metrics are
+// byte-identical for every K, and the value is echoed in the report's
+// "params" object.
 // `--metrics <file|->` (or TREEAA_METRICS) additionally emits one
 // obs::RunReport per synchronous TreeAA run as a "treeaa.bench_report/1"
 // document via the shared BenchReporter. Unknown flags are an error (exit

@@ -15,6 +15,7 @@
 #include "harness/runner.h"
 #include "obs/probe.h"
 #include "perf/parallel.h"
+#include "sim/engine.h"
 #include "sim/strategies.h"
 #include "sim/trace.h"
 #include "trees/generators.h"
@@ -207,17 +208,21 @@ SweepResult run_sweep(const SweepSpec& spec, const std::vector<Cell>& cells,
   SweepResult result;
   result.cells.resize(cells.size());
 
-  // Nested thread budget: opts.threads is the sweep's total; with
-  // run_threads lanes inside every engine, the cell scheduler gets
-  // total / run_threads workers (at least one) so cells x lanes stays at
-  // most the requested total. The split never shows up in the report —
-  // every combination is byte-identical.
+  // Nested thread budget: opts.threads is the sweep's total. Each engine
+  // takes the lanes the engine's own rule grants its cell's n, so the cell
+  // scheduler gets total / (the widest cell's lanes) workers (at least one)
+  // and cells x lanes stays at most the requested total. The split never
+  // shows up in the report — every combination is byte-identical.
   const std::size_t run_threads =
       perf::WorkerPool::resolve_lanes(opts.run_threads);
+  std::size_t widest = 1;
+  for (const Cell& cell : cells) {
+    widest = std::max(widest, sim::Engine::lanes_for(cell.n, run_threads));
+  }
   const std::size_t total =
       opts.threads == 0 ? perf::WorkerPool::resolve_lanes(0) : opts.threads;
   ScheduleOptions sched;
-  sched.threads = std::max<std::size_t>(1, total / run_threads);
+  sched.threads = std::max<std::size_t>(1, total / widest);
   sched.chunk = opts.chunk;
 
   const auto start = std::chrono::steady_clock::now();

@@ -79,10 +79,13 @@ struct SweepOptions {
   std::size_t chunk = 0;
   /// Intra-run engine threads per cell (sim::EngineOptions::threads; 1 =
   /// serial, 0 = hardware). The thread budget is shared, not multiplied:
-  /// `threads` is the total, and the scheduler gets threads / run_threads
-  /// cell workers (at least 1), so e.g. threads=8 run_threads=4 runs two
-  /// cells at a time, each on a 4-lane engine. Reports stay byte-identical
-  /// for every combination.
+  /// `threads` is the total, and the scheduler gets threads / L cell
+  /// workers (at least 1), where L is the widest engine any cell takes,
+  /// sim::Engine::lanes_for(cell n, run_threads). So threads=8
+  /// run_threads=4 runs two cells at a time when some cell has n >= 32,
+  /// each on a 4-lane engine, and eight at a time when every cell has
+  /// n < 16, each on a serial engine. Reports stay byte-identical for every
+  /// combination.
   std::size_t run_threads = 1;
   /// Attach an obs::RunReport to every cell (per-round series in the
   /// report's `rows[*].report`). Costs the probes' overhead per cell.

@@ -44,16 +44,26 @@ std::vector<Envelope> RoundView::corrupt(PartyId p) {
 
 // --- Engine ----------------------------------------------------------------
 
+namespace {
+
+// Parties per granted lane: the crossover measured in docs/PERF.md, where
+// two lanes first beat one on both TreeAA and RealAA.
+constexpr std::size_t kPartiesPerLane = 8;
+
+}  // namespace
+
+std::size_t Engine::lanes_for(std::size_t n, std::size_t threads) {
+  return std::min(perf::WorkerPool::resolve_lanes(threads),
+                  std::max<std::size_t>(1, n / kPartiesPerLane));
+}
+
 Engine::Engine(std::size_t n, std::size_t t, EngineOptions options)
-    : t_(t), threads_(perf::WorkerPool::resolve_lanes(options.threads)) {
+    : t_(t), threads_(lanes_for(n, options.threads)) {
   TREEAA_REQUIRE_MSG(n >= 1, "need at least one party");
   TREEAA_REQUIRE_MSG(t < n, "t must be < n");
   processes_.resize(n);
   corrupt_.assign(n, false);
   adversary_ = std::make_unique<NullAdversary>();
-  // More lanes than parties would only idle; clamping also keeps the
-  // per-lane arenas proportional to useful parallelism.
-  threads_ = std::min(threads_, n);
   if (threads_ > 1) {
     pool_ = perf::WorkerPool::lease(threads_);
     staging_.resize(threads_);

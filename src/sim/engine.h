@@ -42,10 +42,13 @@
 namespace treeaa::sim {
 
 struct EngineOptions {
-  /// Worker lanes for the honest send and delivery phases, lent to the
-  /// adversary through RoundView::run_on_lanes. 1 (the default) runs fully
-  /// serial; 0 means one lane per hardware thread. Any value produces
-  /// byte-identical executions — threads only change wall-clock.
+  /// The most worker lanes the honest send and delivery phases may take
+  /// (lent to the adversary through RoundView::run_on_lanes). 1 (the
+  /// default) runs fully serial; 0 means one lane per hardware thread. The
+  /// engine grants Engine::lanes_for(n, threads): at most one lane per
+  /// eight parties, so a small run stays serial, where a fork-join dispatch
+  /// costs more than it saves. Any value produces byte-identical executions
+  /// — threads only change wall-clock.
   std::size_t threads = 1;
 };
 
@@ -53,6 +56,13 @@ class Engine {
  public:
   /// An engine for n parties of which at most t may ever be corrupt.
   Engine(std::size_t n, std::size_t t, EngineOptions options = {});
+
+  /// The lanes an engine for n parties takes when asked for `threads`
+  /// (0 = one per hardware thread): min(threads, max(1, n / 8)). Every
+  /// phase's work grows with n, and below eight parties per lane a lane's
+  /// share of a phase does not pay for its dispatch (docs/PERF.md).
+  [[nodiscard]] static std::size_t lanes_for(std::size_t n,
+                                             std::size_t threads);
 
   /// Installs the honest protocol process for party p. Every party needs a
   /// process before run() (corrupt-from-start parties included: adaptive
@@ -77,6 +87,7 @@ class Engine {
 
   [[nodiscard]] std::size_t n() const { return processes_.size(); }
   [[nodiscard]] std::size_t t() const { return t_; }
+  /// The lanes granted: lanes_for(n, EngineOptions::threads).
   [[nodiscard]] std::size_t threads() const { return threads_; }
   [[nodiscard]] Round rounds_elapsed() const { return round_; }
 

@@ -187,6 +187,45 @@ TEST(Sweep, RunThreadsNeverChangeReport) {
   EXPECT_EQ(render({.threads = 2, .run_threads = 0}), base);
 }
 
+// kMixedSpec's cells all have n = 7, which the engine runs serial at any
+// run_threads. Here one cell is wide enough (n = 32) for four granted
+// lanes: the report still matches the serial sweep, the wide cells report
+// the lanes they were granted, and the cell scheduler's share of the
+// budget is divided by the widest cell's lanes, not by run_threads.
+TEST(Sweep, RunThreadsNeverChangeReportAtGrantedLanes) {
+  const SweepSpec spec = spec_from_json(R"({
+    "name": "wide",
+    "seed": 9,
+    "scenarios": [
+      {"protocols": ["real_aa"], "range": [1024], "eps": [1],
+       "n": [7, 32], "adversaries": ["none", "fuzz"], "inputs": "random"}
+    ]
+  })");
+  const std::string base =
+      sweep_report_json(spec, run_sweep(spec, SweepOptions{.threads = 1}));
+  EXPECT_EQ(sweep_report_json(
+                spec, run_sweep(spec, SweepOptions{.threads = 8,
+                                                   .run_threads = 4})),
+            base);
+  const SweepResult wide =
+      run_sweep(spec, SweepOptions{.threads = 8, .run_threads = 4,
+                                   .collect_reports = true});
+  EXPECT_EQ(wide.timings.threads, 2u);
+  for (CellResult cell : wide.cells) {
+    EXPECT_EQ(cell.report.timing.gauge("pool_lanes").value(),
+              cell.cell.n == 32 ? 4.0 : 0.0)
+        << "n=" << cell.cell.n;
+  }
+
+  // With only the n = 7 cells, every engine is serial and the scheduler
+  // keeps the whole budget.
+  const SweepSpec narrow = spec_from_json(kMixedSpec);
+  EXPECT_EQ(
+      run_sweep(narrow, SweepOptions{.threads = 4, .run_threads = 4})
+          .timings.threads,
+      4u);
+}
+
 // Every sweep protocol, every adversary kind the grid accepts (split and
 // split1 included), both input kinds and a non-default engine, on instances
 // small enough for ctest.

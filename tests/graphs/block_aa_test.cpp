@@ -118,23 +118,32 @@ TEST(BlockAA, SingleVertexAgreementIsImmediate) {
   }
 }
 
+// Seven parties run serial at any request; 32 are granted every requested
+// lane, which the report's pool_lanes gauge shows.
 TEST(BlockAA, ThreadsNeverChangeReportBytes) {
   Rng rng(0x7D);
   const Graph g = make_random_cactus(20, rng);
   const BlockIndex index(g);
-  const auto inputs = spread_inputs(index, 7);
-  const auto run_with = [&](std::size_t threads) {
-    obs::RunReport report;
-    obs::Hooks hooks;
-    hooks.report = &report;
-    const auto run = run_block_aa(index, inputs, 2, {}, nullptr, &hooks,
-                                  sim::EngineOptions{threads});
-    return report.to_json(/*include_timings=*/false) +
-           std::to_string(run.traffic.total_messages());
-  };
-  const std::string serial = run_with(1);
-  EXPECT_EQ(run_with(2), serial);
-  EXPECT_EQ(run_with(4), serial);
+  for (const std::size_t n : {7u, 32u}) {
+    const auto inputs = spread_inputs(index, n);
+    const auto run_with = [&](std::size_t threads) {
+      obs::RunReport report;
+      obs::Hooks hooks;
+      hooks.report = &report;
+      const auto run = run_block_aa(index, inputs, (n - 1) / 3, {}, nullptr,
+                                    &hooks, sim::EngineOptions{threads});
+      const std::string bytes = report.to_json(/*include_timings=*/false) +
+                                std::to_string(run.traffic.total_messages());
+      if (n == 32 && threads > 1) {
+        EXPECT_EQ(report.timing.gauge("pool_lanes").value(),
+                  static_cast<double>(threads));
+      }
+      return bytes;
+    };
+    const std::string serial = run_with(1);
+    EXPECT_EQ(run_with(2), serial) << "n=" << n;
+    EXPECT_EQ(run_with(4), serial) << "n=" << n;
+  }
 }
 
 TEST(BlockAA, ReportCarriesGraphParamsAndRoundBound) {

@@ -312,81 +312,98 @@ TEST(RegistryTest, MakeAdversaryAndSilentRun) {
 /// the same outputs and the byte-identical canonical run report at
 /// RunSpec::threads 1, 2, and 8. (The async protocol is excluded: its
 /// engine has its own scheduler and documents that it ignores `threads`.)
+/// At n = 7 the engine grants one lane whatever was asked; at n = 64 it
+/// grants every requested lane, which the report's pool_lanes gauge shows.
+/// The wide runs cost ~100 ms each, so at n = 64 only the fuzz and split
+/// adversaries run (injected traffic and a rushing view of the lanes'
+/// merged queue).
 TEST(RegistryTest, ThreadsNeverChangeOutcomeOrReport) {
   const auto spider = make_spider(3, 3);
   const auto path = make_path(9);
   const graphs::BlockIndex block_index(graphs::make_clique_chain(10, 4));
-  const std::size_t n = 7, t = 2;
 
-  for (const harness::ProtocolKind p : harness::all_protocols()) {
-    if (p == harness::ProtocolKind::kAsyncTreeAA) continue;
-    for (const harness::AdversaryKind a : harness::all_adversaries()) {
-      if (!harness::adversary_applies(p, a)) continue;
-      SCOPED_TRACE(std::string(harness::protocol_name(p)) + " vs " +
-                   harness::adversary_name(a));
-      const LabeledTree& tree =
-          p == harness::ProtocolKind::kPathAA ? path : spider;
-
-      auto run_at = [&](std::size_t threads) {
-        obs::RunReport report;
-        obs::Hooks hooks;
-        hooks.report = &report;
-
-        harness::RunSpec spec;
-        spec.protocol = p;
-        spec.n = n;
-        spec.t = t;
-        spec.threads = threads;
-        spec.hooks = &hooks;
-        if (harness::is_graph_protocol(p)) {
-          spec.block_index = &block_index;
-          const auto [end_a, end_b] = block_index.diameter_endpoints();
-          for (std::size_t q = 0; q < n; ++q) {
-            spec.vertex_inputs.push_back(q % 2 == 0 ? end_a : end_b);
-          }
-        } else if (harness::is_vertex_protocol(p)) {
-          spec.tree = &tree;
-          spec.vertex_inputs = harness::spread_vertex_inputs(tree, n);
-        } else {
-          spec.eps = 0.5;
-          spec.known_range = 100.0;
-          spec.real_inputs = harness::spread_real_inputs(n, 0.0, 100.0);
+  for (const std::size_t n : {std::size_t{7}, std::size_t{64}}) {
+    const std::size_t t = (n - 1) / 3;
+    for (const harness::ProtocolKind p : harness::all_protocols()) {
+      if (p == harness::ProtocolKind::kAsyncTreeAA) continue;
+      for (const harness::AdversaryKind a : harness::all_adversaries()) {
+        if (!harness::adversary_applies(p, a)) continue;
+        if (n == 64 && a != harness::AdversaryKind::kFuzz &&
+            a != harness::AdversaryKind::kSplit) {
+          continue;
         }
+        SCOPED_TRACE(std::string(harness::protocol_name(p)) + " vs " +
+                     harness::adversary_name(a) + " at n=" + std::to_string(n));
+        const LabeledTree& tree =
+            p == harness::ProtocolKind::kPathAA ? path : spider;
 
-        harness::AdversaryPlan plan;
-        plan.kind = a;
-        plan.victims = {1, 4};
-        plan.fuzz_seed = 77;
-        if (a == harness::AdversaryKind::kSplit ||
-            a == harness::AdversaryKind::kSplit1) {
+        auto run_at = [&](std::size_t threads) {
+          obs::RunReport report;
+          obs::Hooks hooks;
+          hooks.report = &report;
+
+          harness::RunSpec spec;
+          spec.protocol = p;
+          spec.n = n;
+          spec.t = t;
+          spec.threads = threads;
+          spec.hooks = &hooks;
           if (harness::is_graph_protocol(p)) {
-            // The split attack aims at the inner TreeAA's topology: the
-            // agreement tree, not the graph.
-            plan.split_config = core::paths_finder_config(
-                block_index.agreement_tree(), n, t, {});
+            spec.block_index = &block_index;
+            const auto [end_a, end_b] = block_index.diameter_endpoints();
+            for (std::size_t q = 0; q < n; ++q) {
+              spec.vertex_inputs.push_back(q % 2 == 0 ? end_a : end_b);
+            }
           } else if (harness::is_vertex_protocol(p)) {
-            plan.split_config = core::paths_finder_config(tree, n, t, {});
+            spec.tree = &tree;
+            spec.vertex_inputs = harness::spread_vertex_inputs(tree, n);
           } else {
-            realaa::Config cfg;
-            cfg.n = n;
-            cfg.t = t;
-            cfg.eps = 0.5;
-            cfg.known_range = 100.0;
-            plan.split_config = cfg;
+            spec.eps = 0.5;
+            spec.known_range = 100.0;
+            spec.real_inputs = harness::spread_real_inputs(n, 0.0, 100.0);
           }
-        }
-        spec.adversary = harness::make_adversary(plan);
 
-        auto out = harness::run_protocol(spec);
-        return std::make_tuple(report.to_json(/*include_timings=*/false),
-                               out.vertex_outputs, out.real_outputs,
-                               out.paths, out.corrupt, out.rounds);
-      };
+          harness::AdversaryPlan plan;
+          plan.kind = a;
+          plan.victims = {1, 4};
+          plan.fuzz_seed = 77;
+          if (a == harness::AdversaryKind::kSplit ||
+              a == harness::AdversaryKind::kSplit1) {
+            if (harness::is_graph_protocol(p)) {
+              // The split attack aims at the inner TreeAA's topology: the
+              // agreement tree, not the graph.
+              plan.split_config = core::paths_finder_config(
+                  block_index.agreement_tree(), n, t, {});
+            } else if (harness::is_vertex_protocol(p)) {
+              plan.split_config = core::paths_finder_config(tree, n, t, {});
+            } else {
+              realaa::Config cfg;
+              cfg.n = n;
+              cfg.t = t;
+              cfg.eps = 0.5;
+              cfg.known_range = 100.0;
+              plan.split_config = cfg;
+            }
+          }
+          spec.adversary = harness::make_adversary(plan);
 
-      const auto base = run_at(1);
-      EXPECT_FALSE(std::get<0>(base).empty());
-      EXPECT_EQ(run_at(2), base);
-      EXPECT_EQ(run_at(8), base);
+          auto out = harness::run_protocol(spec);
+          auto result =
+              std::make_tuple(report.to_json(/*include_timings=*/false),
+                              out.vertex_outputs, out.real_outputs, out.paths,
+                              out.corrupt, out.rounds);
+          if (n == 64 && threads > 1) {
+            EXPECT_EQ(report.timing.gauge("pool_lanes").value(),
+                      static_cast<double>(threads));
+          }
+          return result;
+        };
+
+        const auto base = run_at(1);
+        EXPECT_FALSE(std::get<0>(base).empty());
+        EXPECT_EQ(run_at(2), base);
+        EXPECT_EQ(run_at(8), base);
+      }
     }
   }
 }
@@ -419,8 +436,10 @@ TEST(RegistryTest, ReportBytesGolden) {
   const std::size_t n = 7, t = 2;
 
   for (const Golden& g : kGolden) {
-    // Four engine lanes put the observed path on a worker pool (and its
-    // pool_* gauges); the canonical bytes must not notice.
+    // Seven parties are granted one engine lane whatever was asked
+    // (sim::Engine::lanes_for), so the four-lane request must leave the
+    // canonical bytes as they were; ThreadsNeverChangeOutcomeOrReport runs
+    // the observed path on a real pool.
     for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
       SCOPED_TRACE(std::string(harness::protocol_name(g.protocol)) + " at " +
                    std::to_string(threads) + " thread(s)");

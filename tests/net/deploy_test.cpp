@@ -5,7 +5,9 @@
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <utility>
 
+#include "sim/engine.h"
 #include "trees/generators.h"
 
 namespace treeaa::net {
@@ -105,25 +107,33 @@ TEST(Deploy, ReportIsByteDeterministic) {
 }
 
 TEST(Deploy, CrosscheckThreadsNeverChangeReport) {
-  // Running the reference engine on 8 lanes must not perturb anything:
+  // Running the reference engine on more lanes must not perturb anything:
   // same sim outputs, same verdict, byte-identical report. (COW detachment
   // under corrupting links is covered at the engine level by
   // sim_threads_test; frame corruption here behaves as loss and would blow
-  // the protocol's fault budget.)
+  // the protocol's fault budget.) Seven parties run serial at any request;
+  // sixteen are granted two lanes.
   const auto tree = make_spider(4, 3);
-  const auto inputs = spread_inputs(tree, 7);
-  DeployConfig cfg;
-  cfg.adversary = AdversaryKind::kFuzz;
-  cfg.corrupt_count = 1;
-  cfg.faults = FaultPlan::parse("dup=0.2,reorder=0.5");
-  cfg.seed = 3;
-  const auto serial = run_tree_aa_net(tree, inputs, 2, cfg);
-  cfg.threads = 8;
-  const auto parallel = run_tree_aa_net(tree, inputs, 2, cfg);
-  EXPECT_TRUE(serial.sim_match);
-  EXPECT_TRUE(parallel.sim_match);
-  EXPECT_EQ(parallel.sim_outputs, serial.sim_outputs);
-  EXPECT_EQ(parallel.report.to_json(), serial.report.to_json());
+  for (const auto& [n, threads] : {std::pair<std::size_t, std::size_t>{7, 8},
+                                   std::pair<std::size_t, std::size_t>{16, 2}}) {
+    if (n == 16) {
+      ASSERT_EQ(sim::Engine::lanes_for(n, threads), threads);
+    }
+    const auto inputs = spread_inputs(tree, n);
+    DeployConfig cfg;
+    cfg.adversary = AdversaryKind::kFuzz;
+    cfg.corrupt_count = 1;
+    cfg.faults = FaultPlan::parse("dup=0.2,reorder=0.5");
+    cfg.seed = 3;
+    const auto serial = run_tree_aa_net(tree, inputs, (n - 1) / 3, cfg);
+    cfg.threads = threads;
+    const auto parallel = run_tree_aa_net(tree, inputs, (n - 1) / 3, cfg);
+    EXPECT_TRUE(serial.sim_match) << "n=" << n;
+    EXPECT_TRUE(parallel.sim_match) << "n=" << n;
+    EXPECT_EQ(parallel.sim_outputs, serial.sim_outputs) << "n=" << n;
+    EXPECT_EQ(parallel.report.to_json(), serial.report.to_json())
+        << "n=" << n;
+  }
 }
 
 TEST(Deploy, ValidatesConfiguration) {

@@ -224,6 +224,8 @@ int cmd_bounds(const std::vector<std::string>& args) {
   const double d = tools::parse_positive_double("<D>", args[0], fail);
   const std::size_t n = tools::parse_unsigned("<n>", args[1], fail);
   const std::size_t t = tools::parse_unsigned("<t>", args[2], fail);
+  if (n == 0) usage("<n> must be at least 1");
+  if (!fault_bound_holds(n, t)) usage("need n > 3t");
   std::cout << "Fekete/Theorem-2 lower bound: "
             << bounds::lower_bound_rounds(d, n, t) << " rounds\n"
             << "Theorem-2 closed form:        "

@@ -15,9 +15,11 @@
 // adds the wall-clock section.
 //
 //   --threads 0     use all hardware threads
-//   --run-threads K worker lanes inside each cell's engine (default 1);
-//                   the thread budget is shared: --threads is the total,
-//                   and cells run on threads/K workers
+//   --run-threads K most worker lanes inside each cell's engine (default
+//                   1); an engine takes one lane per eight parties at most.
+//                   The thread budget is shared: --threads is the total,
+//                   and cells run on threads/L workers, L the widest
+//                   engine's lanes
 //   --full          run with per-cell run reports and embed them in rows
 //   --trace F       record every cell's engine transcript (treeaa_cli's
 //                   --trace vocabulary) into F, cells in index order, each
