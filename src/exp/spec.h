@@ -5,8 +5,8 @@
 // which (n, t) grid, against which adversaries, at which ε, with how many
 // repeats. `expand()` turns the spec into a flat, deterministically ordered
 // work list of Cells — one Cell per fully instantiated grid point — which
-// the scheduler (scheduler.h) executes in parallel and the report layer
-// (report.h) folds back into a single `treeaa.sweep_report/1` document.
+// run_sweep (sweep.h) executes in parallel and the report layer (report.h)
+// folds back into a single `treeaa.sweep_report/1` document.
 //
 // Axis order inside a scenario is fixed (outer → inner):
 //

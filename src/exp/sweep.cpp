@@ -209,24 +209,21 @@ SweepResult run_sweep(const SweepSpec& spec, const std::vector<Cell>& cells,
   result.cells.resize(cells.size());
 
   // Nested thread budget: opts.threads is the sweep's total. Each engine
-  // takes the lanes the engine's own rule grants its cell's n, so the cell
-  // scheduler gets total / (the widest cell's lanes) workers (at least one)
-  // and cells x lanes stays at most the requested total. The split never
-  // shows up in the report — every combination is byte-identical.
+  // takes the lanes the engine's own rule grants its cell's n, so the cells
+  // fan out on total / (the widest cell's lanes) lanes (at least one) and
+  // cells x lanes stays at most the requested total. The split never shows
+  // up in the report — every combination is byte-identical.
   const std::size_t run_threads =
       perf::WorkerPool::resolve_lanes(opts.run_threads);
   std::size_t widest = 1;
   for (const Cell& cell : cells) {
     widest = std::max(widest, sim::Engine::lanes_for(cell.n, run_threads));
   }
-  const std::size_t total =
-      opts.threads == 0 ? perf::WorkerPool::resolve_lanes(0) : opts.threads;
-  ScheduleOptions sched;
-  sched.threads = std::max<std::size_t>(1, total / widest);
-  sched.chunk = opts.chunk;
+  const std::size_t cell_lanes = std::max<std::size_t>(
+      1, perf::WorkerPool::resolve_lanes(opts.threads) / widest);
 
   const auto start = std::chrono::steady_clock::now();
-  parallel_for(cells.size(), sched, [&](std::size_t i) {
+  perf::WorkerPool::for_each(cell_lanes, cells.size(), [&](std::size_t i) {
     result.cells[i] = run_cell(spec, cells[i], opts.collect_reports,
                                run_threads, opts.trace_format);
   });
@@ -234,7 +231,8 @@ SweepResult run_sweep(const SweepSpec& spec, const std::vector<Cell>& cells,
 
   result.timings.wall_ms =
       std::chrono::duration<double, std::milli>(end - start).count();
-  result.timings.threads = resolve_threads(cells.size(), sched);
+  result.timings.threads =
+      std::max<std::size_t>(1, std::min(cell_lanes, cells.size()));
   result.timings.cells = cells.size();
   return result;
 }

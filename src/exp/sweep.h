@@ -5,10 +5,10 @@
 // function of (sweep seed, cell index), never of scheduling — builds the
 // tree/inputs/adversary from sub-streams of it into one harness::RunSpec,
 // and takes the run, its round budget and its AA verdict from the registry
-// (run_protocol, round_budget, check_outcome). `run_sweep` executes the whole
-// work list on the scheduler (scheduler.h): each worker writes only its own
-// index's slot, so the resulting vector — and the report serialized from it
-// (report.h) — is byte-identical for every thread count.
+// (run_protocol, round_budget, check_outcome). `run_sweep` fans the whole
+// work list out through perf::WorkerPool::for_each: each cell writes only
+// its own index's slot, so the resulting vector — and the report serialized
+// from it (report.h) — is byte-identical for every thread count.
 //
 // A cell that throws (bad family/grid combination, harness precondition)
 // yields ok = false with the exception message in `error`, in its normal
@@ -19,7 +19,6 @@
 #include <string>
 #include <vector>
 
-#include "exp/scheduler.h"
 #include "exp/spec.h"
 #include "obs/report.h"
 
@@ -73,14 +72,13 @@ struct CellResult {
 };
 
 struct SweepOptions {
-  /// Worker threads; 0 = hardware concurrency (see ScheduleOptions).
+  /// Worker threads; 0 = hardware concurrency
+  /// (perf::WorkerPool::resolve_lanes).
   std::size_t threads = 1;
-  /// Work-queue chunk size; 0 = automatic.
-  std::size_t chunk = 0;
   /// Intra-run engine threads per cell (sim::EngineOptions::threads; 1 =
   /// serial, 0 = hardware). The thread budget is shared, not multiplied:
-  /// `threads` is the total, and the scheduler gets threads / L cell
-  /// workers (at least 1), where L is the widest engine any cell takes,
+  /// `threads` is the total, and the cells fan out on threads / L lanes
+  /// (at least 1), where L is the widest engine any cell takes,
   /// sim::Engine::lanes_for(cell n, run_threads). So threads=8
   /// run_threads=4 runs two cells at a time when some cell has n >= 32,
   /// each on a 4-lane engine, and eight at a time when every cell has

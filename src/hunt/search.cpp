@@ -9,8 +9,8 @@
 
 #include "bounds/fekete.h"
 #include "exp/ledger.h"
-#include "exp/scheduler.h"
 #include "obs/report.h"
+#include "perf/parallel.h"
 
 namespace treeaa::hunt {
 
@@ -184,8 +184,8 @@ HuntResult run_hunt(const MaterializedScenario& scenario,
       jsons[i] = harness::adversary_spec_to_json(pop[i]);
     }
 
-    // Fresh unique specs fan out through the scheduler; each slot writes
-    // only its own index, so the merge below is scheduling-independent.
+    // Fresh unique specs fan out on the worker pool; each slot writes only
+    // its own index, so the merge below is scheduling-independent.
     std::vector<std::size_t> fresh;
     {
       std::set<std::string> in_flight;
@@ -197,11 +197,11 @@ HuntResult run_hunt(const MaterializedScenario& scenario,
       }
     }
     std::vector<Evaluation> evals(fresh.size());
-    exp::parallel_for(fresh.size(),
-                      exp::ScheduleOptions{options.threads, 0},
-                      [&](std::size_t k) {
-                        evals[k] = evaluate_spec(scenario, pop[fresh[k]]);
-                      });
+    perf::WorkerPool::for_each(options.threads, fresh.size(),
+                               [&](std::size_t k) {
+                                 evals[k] =
+                                     evaluate_spec(scenario, pop[fresh[k]]);
+                               });
     for (std::size_t k = 0; k < fresh.size(); ++k) {
       cache.emplace(jsons[fresh[k]], std::move(evals[k]));
     }

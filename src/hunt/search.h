@@ -8,8 +8,9 @@
 // function of (scenario, options) — byte-identical at any --threads value.
 // Candidate generation mutates one Rng and therefore runs serially;
 // evaluation is a pure function of (scenario, spec) and fans out through
-// exp::parallel_for, each slot writing only its own index; selection,
-// coverage accounting and corpus updates run serially in population order.
+// perf::WorkerPool::for_each, each slot writing only its own index;
+// selection, coverage accounting and corpus updates run serially in
+// population order.
 // Ties break on the candidate's canonical JSON, never on scheduling.
 #pragma once
 

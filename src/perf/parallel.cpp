@@ -1,7 +1,9 @@
 #include "perf/parallel.h"
 
 #include <algorithm>
+#include <charconv>
 #include <cstdlib>
+#include <cstring>
 #include <memory>
 #include <utility>
 
@@ -38,15 +40,17 @@ std::size_t hardware_workers() {
 // default-constructed pools, so CI on single-core runners (the TSan job in
 // particular) still builds real multi-worker pools and exercises the
 // dispatch handshake under contention. Parsed once; 0 / unset / garbage
-// means "no override".
+// means "no override". Only plain decimal digits count: a sign, a space or
+// an out-of-range value is garbage, never a huge worker count.
 std::size_t forced_workers() {
   static const std::size_t forced = [] {
     const char* env = std::getenv("TREEAA_FORCE_WORKERS");
-    if (env == nullptr || *env == '\0') return std::size_t{0};
-    char* end = nullptr;
-    const unsigned long value = std::strtoul(env, &end, 10);
-    if (end == env || *end != '\0') return std::size_t{0};
-    return static_cast<std::size_t>(value);
+    if (env == nullptr) return std::size_t{0};
+    const char* end = env + std::strlen(env);
+    std::size_t value = 0;
+    const auto [ptr, ec] = std::from_chars(env, end, value);
+    if (ec != std::errc{} || ptr != end) return std::size_t{0};
+    return value;
   }();
   return forced;
 }
@@ -110,6 +114,22 @@ WorkerPool::Lease WorkerPool::lease(std::size_t threads) {
     }
   }
   return Lease(new WorkerPool(lanes));
+}
+
+void WorkerPool::for_each(std::size_t threads, std::size_t count,
+                          const std::function<void(std::size_t)>& fn) {
+  if (count == 0) return;
+  // A single item has nothing to share: run it inline rather than wake a
+  // pool only to wait at its barrier for workers with nothing to do.
+  const Lease pool = lease(count == 1 ? 1 : threads);
+  const std::size_t lanes = pool ? pool.get()->lanes() : 1;
+  // One index per lane of the dispatch; each lane then claims indices from
+  // the cursor. Lanes beyond the worker count run after their worker's
+  // earlier lanes have drained it, so they find it exhausted and return.
+  std::atomic<std::size_t> next{0};
+  pool.run(lanes, [&](std::size_t, std::size_t, std::size_t) {
+    for (std::size_t i = next++; i < count; i = next++) fn(i);
+  });
 }
 
 WorkerPool::WorkerPool(std::size_t lanes, std::size_t workers)

@@ -86,6 +86,16 @@ class WorkerPool {
     [[nodiscard]] WorkerPool* get() const { return pool_; }
     [[nodiscard]] explicit operator bool() const { return pool_ != nullptr; }
 
+    /// The pool's run() when one is held; otherwise the serial fallback,
+    /// slice(0, 0, count) on the caller (nothing when count is 0).
+    void run(std::size_t count, const Slice& slice) const {
+      if (pool_ != nullptr) {
+        pool_->run(count, slice);
+      } else if (count > 0) {
+        slice(0, 0, count);
+      }
+    }
+
    private:
     friend class WorkerPool;
     explicit Lease(WorkerPool* pool) : pool_(pool) {}
@@ -110,6 +120,20 @@ class WorkerPool {
   /// Leases a pool with resolve_lanes(threads) lanes from the process-wide
   /// cache (building one on a miss). Lane counts <= 1 yield an empty Lease.
   [[nodiscard]] static Lease lease(std::size_t threads);
+
+  /// Runs fn(i) once for every i in [0, count) on a leased pool of
+  /// resolve_lanes(threads) lanes, for work lists whose items differ in
+  /// cost: each lane claims the next unclaimed index from a shared cursor
+  /// until none is left, so no static chunk strands a slow item. At one
+  /// lane every index runs inline on the caller, in index order, and so
+  /// does a single item at any lane count. fn must be safe to call
+  /// concurrently for distinct indices, and callers that need a
+  /// deterministic result write only index i's own slot. A lane whose fn
+  /// throws stops claiming (the other lanes drain the rest); the lowest
+  /// such lane's exception is rethrown once every lane is done, and the
+  /// pool goes back to the cache reusable.
+  static void for_each(std::size_t threads, std::size_t count,
+                       const std::function<void(std::size_t)>& fn);
 
   /// A pool with `lanes` logical lanes executed by `workers` OS threads
   /// (the caller plus workers - 1 spawned threads). workers = 0 picks

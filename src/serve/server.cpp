@@ -294,11 +294,7 @@ void Server::run_batch() {
     }
   };
 
-  if (lease) {
-    lease.get()->run(count, slice);
-  } else {
-    slice(0, 0, count);
-  }
+  lease.run(count, slice);
 
   for (const TenantTable& fragment : staging) report_.table.merge(fragment);
 

@@ -35,7 +35,7 @@ void RoundView::broadcast(PartyId from, const Bytes& payload) {
 
 void RoundView::run_on_lanes(std::size_t count,
                              const perf::WorkerPool::Slice& slice) {
-  engine_.run_on_lanes(count, slice);
+  engine_.pool_.run(count, slice);
 }
 
 std::vector<Envelope> RoundView::corrupt(PartyId p) {
@@ -270,7 +270,7 @@ void Engine::send_phase(Round r) {
 // during that merge, on one thread, in that same serial order.
 void Engine::send_phase_parallel(Round r) {
   for (std::vector<Envelope>& lane_out : staging_) lane_out.clear();
-  pool_.get()->run(
+  pool_.run(
       n(), [&](std::size_t lane, std::size_t begin, std::size_t end) {
         for (std::size_t i = begin; i < end; ++i) {
           const PartyId p = static_cast<PartyId>(i);
@@ -296,21 +296,12 @@ void Engine::send_phase_parallel(Round r) {
   }
 }
 
-void Engine::run_on_lanes(std::size_t count,
-                          const perf::WorkerPool::Slice& slice) {
-  if (pool_) {
-    pool_.get()->run(count, slice);
-  } else if (count > 0) {
-    slice(0, 0, count);
-  }
-}
-
 // Hands every honest party its inbox slice. Parties only read their own
 // const slice and mutate their own process state, so the parallel fan-out
 // is race-free; per-party delivery order is fixed by the sort, so the
 // fan-out cannot reorder anything observable.
 void Engine::delivery_phase(Round r) {
-  run_on_lanes(n(), [&](std::size_t lane, std::size_t begin, std::size_t end) {
+  pool_.run(n(), [&](std::size_t lane, std::size_t begin, std::size_t end) {
     for (std::size_t i = begin; i < end; ++i) {
       const PartyId p = static_cast<PartyId>(i);
       if (corrupt_[p]) continue;

@@ -111,9 +111,6 @@ class Engine {
 
   std::vector<Envelope> corrupt_party(PartyId p);
   void inject(PartyId from, PartyId to, perf::Payload payload);
-  /// The honest phases' fan-out, lent to the adversary by RoundView: the
-  /// pool at more than one lane, slice(0, 0, count) inline otherwise.
-  void run_on_lanes(std::size_t count, const perf::WorkerPool::Slice& slice);
   void send_phase(Round r);
   void send_phase_parallel(Round r);
   void delivery_phase(Round r);

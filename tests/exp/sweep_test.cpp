@@ -173,7 +173,7 @@ TEST(Sweep, TimingSectionIsOptIn) {
 }
 
 TEST(Sweep, RunThreadsNeverChangeReport) {
-  // Intra-cell engine lanes (run_threads) compose with the cell scheduler
+  // Intra-cell engine lanes (run_threads) compose with the cell fan-out
   // (threads) under a shared budget; every combination — including 0 =
   // hardware — must serialize to the same bytes as the fully serial sweep.
   const SweepSpec spec = spec_from_json(kMixedSpec);
@@ -190,7 +190,7 @@ TEST(Sweep, RunThreadsNeverChangeReport) {
 // kMixedSpec's cells all have n = 7, which the engine runs serial at any
 // run_threads. Here one cell is wide enough (n = 32) for four granted
 // lanes: the report still matches the serial sweep, the wide cells report
-// the lanes they were granted, and the cell scheduler's share of the
+// the lanes they were granted, and the cell fan-out's share of the
 // budget is divided by the widest cell's lanes, not by run_threads.
 TEST(Sweep, RunThreadsNeverChangeReportAtGrantedLanes) {
   const SweepSpec spec = spec_from_json(R"({
@@ -217,7 +217,7 @@ TEST(Sweep, RunThreadsNeverChangeReportAtGrantedLanes) {
         << "n=" << cell.cell.n;
   }
 
-  // With only the n = 7 cells, every engine is serial and the scheduler
+  // With only the n = 7 cells, every engine is serial and the cell fan-out
   // keeps the whole budget.
   const SweepSpec narrow = spec_from_json(kMixedSpec);
   EXPECT_EQ(

@@ -1,17 +1,23 @@
 // WorkerPool: static chunking, exact index coverage on every
 // (count, lanes, workers) shape, deterministic exception choice, the lease
 // cache, the lane-to-thread mapping, the lane-order merge of per-lane
-// staging that the engine's send phase relies on, and a dispatch stress
-// loop that exercises the sleep/wake handshake with real threads (the TSAN
-// job's main subject).
+// staging that the engine's send phase relies on, a dispatch stress loop
+// that exercises the sleep/wake handshake with real threads (the TSAN
+// job's main subject), and for_each's dynamic claims, the sweep's and the
+// hunt's fan-out.
 #include "perf/parallel.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
+#include <cstdlib>
+#include <mutex>
+#include <set>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -255,6 +261,122 @@ TEST(WorkerPool, RepeatedDispatchStress) {
   for (const std::size_t sum : lane_sums) {
     EXPECT_EQ(sum, 2 * kDispatches);  // 8 indices over 4 lanes
   }
+}
+
+TEST(WorkerPool, EmptyLeaseRunsTheSliceInlineOnce) {
+  const WorkerPool::Lease serial = WorkerPool::lease(1);
+  std::vector<std::size_t> calls;
+  serial.run(5, [&](std::size_t lane, std::size_t begin, std::size_t end) {
+    EXPECT_EQ(lane, 0u);
+    calls.push_back(begin);
+    calls.push_back(end);
+  });
+  EXPECT_EQ(calls, (std::vector<std::size_t>{0, 5}));
+  serial.run(0, [&](std::size_t, std::size_t, std::size_t) {
+    ADD_FAILURE() << "a zero-count run must not call the slice";
+  });
+}
+
+// --- for_each: dynamic claims on a leased pool -----------------------------
+
+void expect_each_index_once(std::size_t threads, std::size_t count) {
+  std::vector<std::atomic<int>> hits(count);
+  WorkerPool::for_each(threads, count,
+                       [&](std::size_t i) { hits[i].fetch_add(1); });
+  for (std::size_t i = 0; i < count; ++i) {
+    EXPECT_EQ(hits[i].load(), 1)
+        << "index " << i << " of " << count << " at " << threads << " threads";
+  }
+}
+
+TEST(WorkerPool, ForEachCoversEveryIndexExactlyOnce) {
+  for (const std::size_t threads : {0u, 1u, 2u, 3u, 8u}) {
+    for (const std::size_t count : {0u, 1u, 97u}) {
+      expect_each_index_once(threads, count);
+    }
+  }
+}
+
+TEST(WorkerPool, ForEachAtOneLaneOrOneItemRunsInline) {
+  const std::thread::id caller = std::this_thread::get_id();
+  std::vector<std::size_t> order;
+  WorkerPool::for_each(1, 20, [&](std::size_t i) {
+    EXPECT_EQ(std::this_thread::get_id(), caller);
+    order.push_back(i);
+  });
+  std::vector<std::size_t> expected(20);
+  for (std::size_t i = 0; i < expected.size(); ++i) expected[i] = i;
+  EXPECT_EQ(order, expected);
+
+  // A single item runs inline at any lane count: no pool is woken for it.
+  WorkerPool::for_each(8, 1, [&](std::size_t i) {
+    EXPECT_EQ(i, 0u);
+    EXPECT_EQ(std::this_thread::get_id(), caller);
+  });
+}
+
+TEST(WorkerPool, ForEachSlotWritesComposeToTheSameVector) {
+  // The sweep's and the hunt's pattern: each index writes its own slot, so
+  // the assembled vector cannot depend on the thread count.
+  auto run = [](std::size_t threads) {
+    std::vector<std::size_t> out(257);
+    WorkerPool::for_each(threads, out.size(),
+                         [&](std::size_t i) { out[i] = i * i + 7; });
+    return out;
+  };
+  const std::vector<std::size_t> base = run(1);
+  EXPECT_EQ(run(2), base);
+  EXPECT_EQ(run(8), base);
+}
+
+TEST(WorkerPool, ForEachRethrowsAndThePoolStaysReusable) {
+  for (const std::size_t threads : {1u, 4u}) {
+    EXPECT_THROW(WorkerPool::for_each(threads, 64,
+                                      [](std::size_t i) {
+                                        if (i == 13) {
+                                          throw std::runtime_error("unit 13");
+                                        }
+                                      }),
+                 std::runtime_error);
+  }
+  // Every lane throws; the leased pool goes back to the cache and the next
+  // fan-out on the same lane count still covers every index.
+  EXPECT_THROW(WorkerPool::for_each(
+                   4, 8, [](std::size_t) { throw std::runtime_error("boom"); }),
+               std::runtime_error);
+  expect_each_index_once(4, 32);
+}
+
+// However many lanes are asked for, a fan-out runs on at most
+// default_workers(lanes) OS threads (the caller included), never one fresh
+// thread per lane.
+TEST(WorkerPool, ForEachNeverRunsOnMoreThreadsThanDefaultWorkers) {
+  constexpr std::size_t kThreads = 16;
+  std::mutex mutex;
+  std::set<std::thread::id> ids;
+  WorkerPool::for_each(kThreads, 256, [&](std::size_t) {
+    const std::lock_guard<std::mutex> lock(mutex);
+    ids.insert(std::this_thread::get_id());
+  });
+  EXPECT_GE(ids.size(), 1u);
+  EXPECT_LE(ids.size(), WorkerPool::default_workers(kThreads));
+}
+
+// TREEAA_FORCE_WORKERS is parsed once per process, so this test also runs
+// as its own ctest with TREEAA_FORCE_WORKERS=-1 (tests/perf/CMakeLists.txt).
+// Only a plain decimal count overrides the hardware; anything else, a sign
+// included, leaves default_workers at min(lanes, hardware).
+TEST(WorkerPool, ForceWorkersOnlyOverridesWithAPlainCount) {
+  const char* env = std::getenv("TREEAA_FORCE_WORKERS");
+  const std::string value = env == nullptr ? "" : env;
+  if (!value.empty() &&
+      value.find_first_not_of("0123456789") == std::string::npos) {
+    return;  // a real override: nothing about the hardware to check
+  }
+  const std::size_t hw =
+      std::max<std::size_t>(1, std::thread::hardware_concurrency());
+  EXPECT_EQ(WorkerPool::default_workers(hw + 1), hw)
+      << "TREEAA_FORCE_WORKERS='" << value << "'";
 }
 
 }  // namespace

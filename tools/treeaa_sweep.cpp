@@ -1,13 +1,13 @@
 // treeaa_sweep — run a declarative experiment sweep (docs/SWEEPS.md).
 //
 //   treeaa_sweep --spec <file|-> [--threads N] [--run-threads K]
-//                [--out <file|->] [--chunk N] [--full] [--timings]
+//                [--out <file|->] [--full] [--timings]
 //                [--trace <file|->] [--trace-format text|jsonl]
 //                [--seed S] [--quiet]
 //                [--expand-only]
 //
 // Reads a sweep spec (JSON), expands it into its flat cell grid, executes
-// every cell on a fixed pool of worker threads, and writes the aggregated
+// every cell on a leased perf::WorkerPool, and writes the aggregated
 // "treeaa.sweep_report/1" document to --out (default: the TREEAA_METRICS
 // environment variable, else stdout). The report is byte-identical for any
 // --threads value — determinism comes from per-cell RNG streams forked from
@@ -58,7 +58,7 @@ const tools::CommonFlagSet kSweepFlags = {.seed = true,
   std::cerr << "usage:\n"
                "  treeaa_sweep --spec <file|-> [--out <file|->] "
                "[--run-threads K]\n"
-               "               [--chunk N] [--full] [--expand-only]\n"
+               "               [--full] [--expand-only]\n"
                "               "
             << tools::common_flags_usage(kSweepFlags) << "\n";
   std::exit(2);
@@ -102,8 +102,6 @@ int main(int argc, char** argv) {
     } else if (args[i] == "--run-threads") {
       sweep_opts.run_threads =
           tools::parse_unsigned("--run-threads", next(), fail);
-    } else if (args[i] == "--chunk") {
-      sweep_opts.chunk = tools::parse_unsigned("--chunk", next(), fail);
     } else if (args[i] == "--full") {
       sweep_opts.collect_reports = true;
       report_opts.include_cell_reports = true;
