@@ -28,7 +28,6 @@ BatchGradecast::BatchGradecast(PartyId self, std::size_t n, std::size_t t,
   TREEAA_REQUIRE(deny_.size() == n);
   leader_values_.assign(n, std::nullopt);
   my_supports_.assign(n, std::nullopt);
-  row_.resize(n);
   counted_.resize(n);
   tallies_.resize(n);
   // Step 2 keeps the most counters per leader (see on_step_end).
@@ -69,12 +68,13 @@ void BatchGradecast::tally_round(std::uint8_t tag,
   std::fill(tallies_.begin(), tallies_.end(), Tally{});
   for (const sim::Envelope& e : inbox) {
     if (e.from >= n_ || counted_[e.from] != nullptr) continue;
-    if (!decode_slots_view(tag, e.payload, row_)) continue;
+    const std::optional<SlotRow> row = decode_slots(tag, e.payload, n_,
+                                                    scratch_);
+    if (!row.has_value()) continue;
     counted_[e.from] = &e;
     for (PartyId l = 0; l < n_; ++l) {
-      if (row_[l].has_value() && !(skip_denied && deny_[l])) {
-        fold(l, *row_[l]);
-      }
+      const SlotView slot = (*row)[l];
+      if (slot.has_value() && !(skip_denied && deny_[l])) fold(l, *slot);
     }
   }
 
@@ -89,12 +89,16 @@ void BatchGradecast::tally_round(std::uint8_t tag,
   if (all_exact) return;
   for (const sim::Envelope* e : counted_) {
     if (e == nullptr) continue;
-    TREEAA_CHECK(decode_slots_view(tag, e->payload, row_));
+    const std::optional<SlotRow> row = decode_slots(tag, e->payload, n_,
+                                                    scratch_);
+    TREEAA_CHECK(row.has_value());
     for (PartyId l = 0; l < n_; ++l) {
-      if (!row_[l].has_value() || tallies_[l].exact) continue;
+      if (tallies_[l].exact) continue;
+      const SlotView slot = (*row)[l];
+      if (!slot.has_value()) continue;
       Counter* const c = counters_.data() + static_cast<std::size_t>(l) * k_;
       for (std::size_t i = 0; i < tallies_[l].live; ++i) {
-        if (view_eq(c[i].value, *row_[l])) {
+        if (view_eq(c[i].value, *slot)) {
           ++c[i].count;
           break;
         }

@@ -87,12 +87,14 @@ class BatchGradecast {
   /// valid message with the right tag counts; malformed attempts are
   /// skipped and later messages from the same sender are ignored.
   ///
-  /// Pass 1 decodes each counted message into `row_` and folds it into the
-  /// leaders' Misra–Gries counters, so every value held by more than
-  /// m / (k + 1) of the m present slots survives. A leader whose counters
-  /// never had to cancel holds exact counts of all its values; for the
-  /// others, pass 2 re-decodes the counted messages and makes the
-  /// survivors' counts exact. Without hostile senders pass 2 is skipped.
+  /// Pass 1 decodes each counted message (decode_slots: a broadcast's
+  /// shared payload is indexed once, by its first receiver) and folds its
+  /// slots straight from the index into the leaders' Misra–Gries counters,
+  /// so every value held by more than m / (k + 1) of the m present slots
+  /// survives. A leader whose counters never had to cancel holds exact
+  /// counts of all its values; for the others, pass 2 re-reads the counted
+  /// messages and makes the survivors' counts exact. Without hostile
+  /// senders pass 2 is skipped.
   void tally_round(std::uint8_t tag, std::span<const sim::Envelope> inbox,
                    std::size_t k, bool skip_denied);
 
@@ -115,10 +117,10 @@ class BatchGradecast {
   std::vector<std::optional<Bytes>> my_supports_;     // per leader (step 1)
   std::vector<GradedValue> results_;                  // per leader (step 2)
 
-  // Per-round tally scratch, O(n) for t = Θ(n): sized once by the
-  // constructor and reused by every step. The views alias inbox payloads
-  // and are only used inside the on_step_end call that produced them.
-  std::vector<SlotView> row_;  // the slots of the sender being decoded
+  // Per-round tally scratch, O(n) for t = Θ(n): sized once and reused by
+  // every step. Counter views alias inbox payloads and are only used inside
+  // the on_step_end call that produced them.
+  SlotScratch scratch_;  // decodes of messages no memo serves (unshared)
   std::vector<const sim::Envelope*> counted_;  // per sender: the message
                                                // that counts, or nullptr
   std::vector<Counter> counters_;  // k_ per leader, see Tally

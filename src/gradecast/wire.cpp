@@ -1,6 +1,7 @@
 #include "gradecast/wire.h"
 
 #include <cstring>
+#include <limits>
 
 #include "common/check.h"
 
@@ -82,33 +83,86 @@ Bytes encode_slots(std::uint8_t tag, const std::vector<Slot>& slots,
                            [&](std::size_t i) { return bottom[i]; });
 }
 
-// Batched decoder: a noexcept raw-pointer cursor over the message instead
-// of a throwing ByteReader — the hot realaa/tree-AA delivery path calls
-// this once per received echo/support vector, and exception plumbing is
-// pure overhead when malformed input is an expected case (Byzantine
-// senders). Accepts and rejects exactly the inputs a ByteReader-based
-// parser of the same layout would, including non-canonical varints.
-bool decode_slots_view(std::uint8_t tag, ByteView msg,
-                       std::span<SlotView> out) {
-  const std::uint8_t* p = msg.data();
+namespace {
+
+// The one slot-vector parser, a noexcept raw-pointer cursor over the
+// message instead of a throwing ByteReader: the hot realaa/tree-AA
+// delivery path runs it on every received echo/support vector it cannot
+// read from a memo, and exception plumbing is pure overhead when malformed
+// input is an expected case (Byzantine senders). Accepts and rejects
+// exactly the inputs a ByteReader-based parser of the same layout would,
+// including non-canonical varints. Calls on_slot(i, offset, length) for
+// every slot in order, with offset 0 for ⊥; on false, the calls made so far
+// mean nothing.
+template <typename OnSlot>
+bool parse_slots(std::uint8_t tag, ByteView msg, std::size_t count,
+                 OnSlot on_slot) {
+  const std::uint8_t* const begin = msg.data();
+  const std::uint8_t* p = begin;
   const std::uint8_t* const end = p + msg.size();
   if (p == end || *p++ != tag) return false;
-  std::uint64_t count = 0;
-  if (!read_varint(p, end, count)) return false;
-  if (count != out.size()) return false;
-  for (SlotView& slot : out) {
+  std::uint64_t wire_count = 0;
+  if (!read_varint(p, end, wire_count)) return false;
+  if (wire_count != count) return false;
+  for (std::size_t i = 0; i < count; ++i) {
     if (p == end) return false;
     if (*p++ == 0) {
-      slot = std::nullopt;
+      on_slot(i, std::size_t{0}, std::size_t{0});
     } else {
       std::uint64_t len = 0;
       if (!read_varint(p, end, len)) return false;
       if (len > static_cast<std::uint64_t>(end - p)) return false;
-      slot = ByteView(p, static_cast<std::size_t>(len));
+      on_slot(i, static_cast<std::size_t>(p - begin),
+              static_cast<std::size_t>(len));
       p += len;
     }
   }
   return p == end;
+}
+
+// Fills the slot index of a `tag` message of `index.size() / 2` slots (see
+// SlotRow). The one place that enforces the uint32_t offset limit.
+bool index_slots(std::uint8_t tag, ByteView msg,
+                 std::span<std::uint32_t> index) {
+  TREEAA_REQUIRE(msg.size() <= std::numeric_limits<std::uint32_t>::max());
+  return parse_slots(tag, msg, index.size() / 2,
+                     [&](std::size_t i, std::size_t offset, std::size_t len) {
+                       index[2 * i] = static_cast<std::uint32_t>(offset);
+                       index[2 * i + 1] = static_cast<std::uint32_t>(len);
+                     });
+}
+
+std::uint64_t slots_memo_key(std::uint8_t tag, std::size_t count) {
+  return (static_cast<std::uint64_t>(count) << 8) | tag;
+}
+
+}  // namespace
+
+bool decode_slots_view(std::uint8_t tag, ByteView msg,
+                       std::span<SlotView> out) {
+  return parse_slots(tag, msg, out.size(),
+                     [&](std::size_t i, std::size_t offset, std::size_t len) {
+                       out[i] = offset == 0 ? SlotView()
+                                            : ByteView(msg.data() + offset,
+                                                       len);
+                     });
+}
+
+std::optional<SlotRow> decode_slots(std::uint8_t tag, const perf::Payload& msg,
+                                    std::size_t count, SlotScratch& scratch) {
+  const perf::PayloadMemo* memo = msg.memo(
+      slots_memo_key(tag, count),
+      [&](ByteView bytes, std::vector<std::uint32_t>& index) {
+        index.resize(2 * count);
+        return index_slots(tag, bytes, index);
+      });
+  if (memo != nullptr) {
+    if (!memo->ok) return std::nullopt;
+    return SlotRow(msg.data(), memo->index.data());
+  }
+  scratch.resize(2 * count);
+  if (!index_slots(tag, msg, scratch)) return std::nullopt;
+  return SlotRow(msg.data(), scratch.data());
 }
 
 }  // namespace treeaa::gradecast

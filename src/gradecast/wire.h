@@ -18,11 +18,13 @@
 // already scopes delivery by round).
 #pragma once
 
+#include <cstdint>
 #include <optional>
 #include <span>
 #include <vector>
 
 #include "common/bytes.h"
+#include "perf/arena.h"
 
 namespace treeaa::gradecast {
 
@@ -65,5 +67,41 @@ using SlotView = std::optional<ByteView>;
 /// false, `out` holds no meaningful values.
 [[nodiscard]] bool decode_slots_view(std::uint8_t tag, ByteView msg,
                                      std::span<SlotView> out);
+
+/// One decoded ECHO/SUPPORT message: slot views into its bytes, read
+/// through a slot index — entries 2i and 2i + 1 hold slot i's offset into
+/// the message and its length, and offset 0 means ⊥ (byte 0 is the tag, so
+/// no value starts there). Valid while the payload and the index are.
+class SlotRow {
+ public:
+  SlotRow(const std::uint8_t* base, const std::uint32_t* index)
+      : base_(base), index_(index) {}
+
+  [[nodiscard]] SlotView operator[](std::size_t i) const {
+    const std::uint32_t offset = index_[2 * i];
+    if (offset == 0) return std::nullopt;
+    return ByteView(base_ + offset, index_[2 * i + 1]);
+  }
+
+ private:
+  const std::uint8_t* base_;
+  const std::uint32_t* index_;
+};
+
+/// A receiver's own slot index, for messages it cannot read from the
+/// payload's memo. Sized on first use and reused.
+using SlotScratch = std::vector<std::uint32_t>;
+
+/// Decodes `msg` as a `tag` message of `count` slots; nullopt if it is
+/// malformed or has another slot count. A shared payload is indexed once,
+/// by its first reader, and every other receiver reads that memo
+/// (perf::Payload::memo); otherwise the message is decoded into `scratch`.
+/// Either way the verdict and the slots are those of decode_slots_view.
+/// Requires msg.size() < 2^32 (offsets are uint32_t); every message that
+/// arrives from outside is capped far below that.
+[[nodiscard]] std::optional<SlotRow> decode_slots(std::uint8_t tag,
+                                                  const perf::Payload& msg,
+                                                  std::size_t count,
+                                                  SlotScratch& scratch);
 
 }  // namespace treeaa::gradecast

@@ -24,6 +24,23 @@
 // from several delivery-phase workers at once. Pools themselves are NOT
 // thread-safe: the engine gives each worker lane its own PayloadPool and
 // only touches them from one thread at a time.
+//
+// A shared payload also carries a parse memo (PayloadMemo), so the n
+// receivers of a broadcast parse its bytes once instead of n times
+// (Payload::memo; the gradecast echo/support decoder is the user). The
+// memo is a pure function of the bytes under its key, and it keeps these
+// invariants:
+//
+//   * only a shared handle fills a memo: the first reader claims it with
+//     one CAS (empty -> filling), parses, and publishes with a release
+//     store (filling -> ready); every later reader, on any thread, takes it
+//     with an acquire load. A reader that finds it filling, or ready under
+//     another key, parses locally — nobody ever waits;
+//   * the bytes stay immutable while the memo is ready: a shared handle's
+//     mutable_bytes() detaches a fresh rep (whose memo starts empty), and
+//     an unshared handle's mutable_bytes() resets the memo, since the
+//     bytes may change;
+//   * PayloadPool::take_rep resets the memo of a recycled rep.
 #pragma once
 
 #include <atomic>
@@ -38,11 +55,27 @@ namespace treeaa::perf {
 
 class PayloadPool;
 
-/// Control block of a shared payload: the byte buffer plus its reference
-/// count. Pool-recycled together with the buffer's capacity.
+/// One parse of a shared payload's bytes (see the header comment): what it
+/// was parsed as (`key`), whether the bytes were accepted, and the parser's
+/// compact index into them.
+struct PayloadMemo {
+  static constexpr std::uint8_t kEmpty = 0;
+  static constexpr std::uint8_t kFilling = 1;
+  static constexpr std::uint8_t kReady = 2;
+
+  std::atomic<std::uint8_t> state{kEmpty};
+  std::uint64_t key = 0;
+  bool ok = false;
+  std::vector<std::uint32_t> index;
+};
+
+/// Control block of a shared payload: the byte buffer, its reference count
+/// and its parse memo. Pool-recycled together with the buffer's and the
+/// index's capacity.
 struct PayloadRep {
   std::atomic<std::uint32_t> refs{1};
   Bytes bytes;
+  PayloadMemo memo;
 };
 
 /// A refcounted, copy-on-write handle around a message payload. Copying a
@@ -113,16 +146,48 @@ class Payload {
   }
   [[nodiscard]] bool shared() const { return use_count() > 1; }
 
+  /// The parse of these bytes under `key`, memoized on the shared control
+  /// block, or nullptr when the caller must parse locally: the handle is
+  /// empty or unshared, another reader is still filling the memo, or it
+  /// holds another key. The first reader of a shared payload fills it by
+  /// calling `parse(bytes, index)` on an empty index; its bool result is the
+  /// memo's `ok`. `parse` must be a pure function of the bytes for a given
+  /// key.
+  template <typename Parse>
+  [[nodiscard]] const PayloadMemo* memo(std::uint64_t key,
+                                        Parse&& parse) const {
+    if (rep_ == nullptr) return nullptr;
+    PayloadMemo& m = rep_->memo;
+    std::uint8_t state = m.state.load(std::memory_order_acquire);
+    if (state == PayloadMemo::kEmpty && shared() &&
+        m.state.compare_exchange_strong(state, PayloadMemo::kFilling,
+                                        std::memory_order_acquire)) {
+      m.key = key;
+      m.index.clear();
+      m.ok = parse(std::span<const std::uint8_t>(rep_->bytes), m.index);
+      m.state.store(PayloadMemo::kReady, std::memory_order_release);
+      return &m;
+    }
+    return state == PayloadMemo::kReady && m.key == key ? &m : nullptr;
+  }
+
   /// Copy-on-write mutable access: a shared handle first detaches its own
-  /// copy of the bytes, so writes are never visible through other handles.
+  /// copy of the bytes, so writes are never visible through other handles;
+  /// an unshared one drops its memo, since the bytes may change.
   [[nodiscard]] Bytes& mutable_bytes() {
     if (rep_ == nullptr) {
       rep_ = new PayloadRep;
-    } else if (shared()) {
+      return rep_->bytes;
+    }
+    // Acquire pairs with release(): the reads (and memo fills) of every
+    // handle already dropped happen before the writes below.
+    if (rep_->refs.load(std::memory_order_acquire) > 1) {
       auto* detached = new PayloadRep;
       detached->bytes = rep_->bytes;
       release(nullptr);
       rep_ = detached;
+    } else {
+      rep_->memo.state.store(PayloadMemo::kEmpty, std::memory_order_relaxed);
     }
     return rep_->bytes;
   }
@@ -173,6 +238,7 @@ class PayloadPool {
     free_.pop_back();
     rep->refs.store(1, std::memory_order_relaxed);
     rep->bytes.clear();
+    rep->memo.state.store(PayloadMemo::kEmpty, std::memory_order_relaxed);
     return rep;
   }
 

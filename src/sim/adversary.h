@@ -63,8 +63,13 @@ class RoundView {
   /// chunking of the honest phases; returns after every lane finished (the
   /// lowest lane's exception is rethrown). At one lane it runs
   /// slice(0, 0, count) inline. Slices must only touch per-index state: the
-  /// view itself is not safe to call from them.
+  /// view itself is not safe to call from them, except arena(lane).
   void run_on_lanes(std::size_t count, const perf::WorkerPool::Slice& slice);
+
+  /// The engine's payload arena for `lane`, for a Mailer inside a
+  /// run_on_lanes slice: it is safe to use from the slice running on that
+  /// lane only (arenas are not thread-safe), and never outside a slice.
+  [[nodiscard]] perf::PayloadPool* arena(std::size_t lane);
 
   /// Adaptively corrupts `p` (requires budget). The messages p queued this
   /// round are retracted and returned (so the adversary can selectively

@@ -38,6 +38,11 @@ void RoundView::run_on_lanes(std::size_t count,
   engine_.pool_.run(count, slice);
 }
 
+perf::PayloadPool* RoundView::arena(std::size_t lane) {
+  TREEAA_REQUIRE(lane < engine_.arenas_.size());
+  return &engine_.arenas_[lane];
+}
+
 std::vector<Envelope> RoundView::corrupt(PartyId p) {
   return engine_.corrupt_party(p);
 }

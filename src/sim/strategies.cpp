@@ -119,13 +119,15 @@ void PuppetAdversary::act(RoundView& view) {
   const Round wire_round = view.round();
   const std::size_t n = view.n();
   // Send phase: every puppet queues into its own outbox on a lane, like an
-  // honest party. The outboxes merge here in puppet order, minus whatever
-  // the omission filter swallows; filters may share an RNG, so they only
-  // run on this thread.
+  // honest party, drawing payloads from that lane's arena. The outboxes
+  // merge here in puppet order, minus whatever the omission filter
+  // swallows; filters may share an RNG, so they only run on this thread.
   view.run_on_lanes(
-      puppets_.size(), [&](std::size_t, std::size_t begin, std::size_t end) {
+      puppets_.size(),
+      [&](std::size_t lane, std::size_t begin, std::size_t end) {
         for (std::size_t i = begin; i < end; ++i) {
-          Mailer mailer(puppets_[i].party, n, outboxes_[i], wire_round);
+          Mailer mailer(puppets_[i].party, n, outboxes_[i], wire_round,
+                        view.arena(lane));
           puppets_[i].process->on_round_begin(r, mailer);
         }
       });

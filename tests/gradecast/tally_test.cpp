@@ -3,8 +3,11 @@
 // inboxes: random slot multisets with exact count ties and values at the
 // n - t and t + 1 thresholds, ⊥-heavy rows and empty values, duplicate,
 // malformed and wrong-tag messages from one sender, and any number of
-// hostile senders, at n ∈ {4, 7, 16, 64}. GradecastGolden pins the results
-// of a fixed set of those batches.
+// hostile senders, at n ∈ {4, 7, 16, 64}. Every batch runs twice: once on
+// unshared payloads (each receiver decodes locally) and once with every
+// payload shared between two receivers' inboxes (the first receiver's
+// decode is memoized on the payload and the second reads the memo).
+// GradecastGolden pins the results of a fixed set of those batches.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -18,6 +21,7 @@
 #include "gradecast/gradecast.h"
 #include "gradecast/wire.h"
 #include "owned_slots.h"
+#include "perf/parallel.h"
 #include "sim/process.h"
 
 namespace treeaa::gradecast {
@@ -293,8 +297,9 @@ struct Observed {
   std::vector<GradedValue> results;
 };
 
-Observed drive(const Batch& b) {
-  BatchGradecast batch(b.self, b.n, b.t, b.my_value, b.deny);
+/// Runs party `self`'s batch over `b`'s inboxes.
+Observed drive_as(const Batch& b, PartyId self) {
+  BatchGradecast batch(self, b.n, b.t, b.my_value, b.deny);
   Observed o;
   for (std::size_t step = 0; step < kRounds; ++step) {
     std::vector<Envelope> sink;
@@ -311,6 +316,31 @@ Observed drive(const Batch& b) {
   }
   o.results = batch.results();
   return o;
+}
+
+Observed drive(const Batch& b) { return drive_as(b, b.self); }
+
+void expect_same(const Observed& got, const Observed& want,
+                 const std::string& where) {
+  for (std::size_t step = 0; step < kRounds; ++step) {
+    EXPECT_EQ(got.sent[step], want.sent[step]) << where << " step " << step;
+  }
+  ASSERT_EQ(got.results.size(), want.results.size()) << where;
+  for (std::size_t l = 0; l < got.results.size(); ++l) {
+    EXPECT_EQ(got.results[l].grade, want.results[l].grade)
+        << where << " leader " << l;
+    EXPECT_EQ(got.results[l].value, want.results[l].value)
+        << where << " leader " << l;
+  }
+}
+
+/// `b` with every payload copied into a fresh, unshared buffer.
+Batch deep_copy(const Batch& b) {
+  Batch copy = b;
+  for (auto& inbox : copy.inbox) {
+    for (Envelope& e : inbox) e.payload = perf::Payload(Bytes(e.payload));
+  }
+  return copy;
 }
 
 /// Checks one batch against the reference; returns what the batch did.
@@ -330,15 +360,46 @@ Observed expect_matches_reference(const Batch& b, const std::string& where) {
   return got;
 }
 
+/// Shares every payload of `b` with a twin receiver's inboxes, and replays
+/// some echo-tagged payloads into the support step, after the twin's echo
+/// step has memoized them under kTagEcho: the wrong tag rejects them there,
+/// as a malformed attempt that shadows nothing, so the reference is
+/// unchanged. Returns the twin's observation; `b` is left for a second
+/// receiver.
+Observed drive_shared_twin(Batch& b, Rng& rng) {
+  const std::size_t echoes = b.inbox[1].size();
+  for (std::size_t i = 0; i < echoes; ++i) {
+    const perf::Payload& echo = b.inbox[1][i].payload;
+    if (echo.empty() || echo[0] != kTagEcho || !rng.chance(0.2)) continue;
+    auto& support = b.inbox[2];
+    const auto at = static_cast<long>(rng.index(support.size() + 1));
+    support.insert(support.begin() + at, b.inbox[1][i]);
+  }
+  const Batch twin = b;  // shares every payload
+  for (const auto& inbox : b.inbox) {
+    for (const Envelope& e : inbox) EXPECT_TRUE(e.payload.shared());
+  }
+  return drive(twin);
+}
+
 TEST(GradecastTally, MatchesSortAndRunLengthReference) {
   for (const std::size_t n : {4u, 7u, 16u, 64u}) {
     const std::uint64_t batches = n == 64 ? 60 : 400;
     // The crafted inboxes must reach every outcome, at every n.
     std::size_t grades[3] = {0, 0, 0};
     for (std::uint64_t seed = 1; seed <= batches; ++seed) {
-      const Observed o = expect_matches_reference(
-          craft_batch(n, seed),
-          "n=" + std::to_string(n) + " seed=" + std::to_string(seed));
+      const std::string where =
+          "n=" + std::to_string(n) + " seed=" + std::to_string(seed);
+      Batch b = craft_batch(n, seed);
+      for (const auto& inbox : b.inbox) {
+        for (const Envelope& e : inbox) ASSERT_FALSE(e.payload.shared());
+      }
+      const Observed o = expect_matches_reference(b, where + " unshared");
+      Rng rng(seed);
+      const Observed twin = drive_shared_twin(b, rng);
+      expect_same(twin, o, where + " shared, first receiver");
+      expect_same(expect_matches_reference(b, where + " shared"), o,
+                  where + " shared, second receiver");
       if (HasFailure()) return;
       for (const GradedValue& r : o.results) {
         ++grades[static_cast<std::size_t>(r.grade)];
@@ -347,6 +408,35 @@ TEST(GradecastTally, MatchesSortAndRunLengthReference) {
     for (int g = 0; g < 3; ++g) {
       EXPECT_GT(grades[g], batches / 4) << "n=" << n << " grade " << g;
     }
+  }
+}
+
+// 64 receivers tally one round of shared payloads on four real threads,
+// the way the engine's delivery lanes do: each receiver holds its own
+// handles to the same reps, so the first reader of each rep indexes it
+// while the others race to read the memo (or decode locally while it is
+// still being filled). Each must match its own serial run on unshared
+// copies. Run under TSan by CI's race-audit job.
+TEST(GradecastTally, SharedInboxAcrossLanes) {
+  constexpr std::size_t n = 64;
+  perf::WorkerPool pool(4, 4);
+  for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+    const Batch b = craft_batch(n, 500 + seed);
+    std::vector<Observed> serial(n);
+    for (PartyId r = 0; r < n; ++r) serial[r] = drive_as(deep_copy(b), r);
+    const std::vector<Batch> inboxes(n, b);  // every receiver shares the reps
+    std::vector<Observed> lanes(n);
+    pool.run(n, [&](std::size_t, std::size_t begin, std::size_t end) {
+      for (std::size_t r = begin; r < end; ++r) {
+        lanes[r] = drive_as(inboxes[r], static_cast<PartyId>(r));
+      }
+    });
+    for (PartyId r = 0; r < n; ++r) {
+      expect_same(lanes[r], serial[r],
+                  "seed=" + std::to_string(seed) + " receiver " +
+                      std::to_string(r));
+    }
+    if (HasFailure()) return;
   }
 }
 

@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <cstddef>
+#include <optional>
 #include <utility>
 #include <vector>
 
@@ -231,6 +232,78 @@ TEST(GradecastWireFuzz, BitFlipsNeverCrashTheDecoder) {
       (void)decode_leader(flipped);
     }
   }
+}
+
+/// The slots `msg` decodes to through decode_slots (the slot index), or
+/// nullopt when it rejects them.
+std::optional<std::vector<Slot>> decode_indexed(std::uint8_t tag,
+                                                const perf::Payload& msg,
+                                                std::size_t n,
+                                                SlotScratch& scratch) {
+  const std::optional<SlotRow> row = decode_slots(tag, msg, n, scratch);
+  if (!row.has_value()) return std::nullopt;
+  std::vector<Slot> slots(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    const SlotView view = (*row)[i];
+    if (view.has_value()) slots[i] = Bytes(view->begin(), view->end());
+  }
+  return slots;
+}
+
+// Random slot messages with a few flipped bits decode to the same verdict
+// and the same slots through the index decoder as through decode_slots_view
+// (owned_slots.h), both on an unshared payload (decoded into the caller's
+// scratch) and on a shared one (decoded once into the payload's memo, which
+// a second handle then reads without touching its scratch).
+TEST(GradecastWireFuzz, IndexDecoderMatchesViewDecoderOnBitFlips) {
+  Rng rng(0x1DE7);
+  std::size_t accepted = 0;
+  for (int iter = 0; iter < 3000; ++iter) {
+    const std::size_t n = 1 + rng.index(8);
+    const std::uint8_t tag = rng.chance(0.5) ? kTagEcho : kTagSupport;
+    std::vector<Slot> slots(n);
+    for (Slot& s : slots) {
+      if (rng.chance(0.3)) continue;
+      Bytes body(rng.index(rng.chance(0.1) ? 200 : 6), 0);
+      for (auto& b : body) b = static_cast<std::uint8_t>(rng.next() & 0xFF);
+      s = std::move(body);
+    }
+    Bytes msg = encode_slots(tag, slots);
+    const std::size_t flips = rng.index(4);
+    for (std::size_t f = 0; f < flips; ++f) {
+      msg[rng.index(msg.size())] ^=
+          static_cast<std::uint8_t>(1u << rng.index(8));
+    }
+    const auto want = decode_owned(tag, msg, n);
+    if (want.has_value()) ++accepted;
+
+    SlotScratch local;
+    EXPECT_EQ(decode_indexed(tag, perf::Payload(msg), n, local), want)
+        << "unshared, iteration " << iter;
+
+    const perf::Payload shared(msg);
+    const perf::Payload other = shared;
+    SlotScratch first;
+    SlotScratch second;
+    EXPECT_EQ(decode_indexed(tag, shared, n, first), want)
+        << "memo fill, iteration " << iter;
+    EXPECT_EQ(decode_indexed(tag, other, n, second), want)
+        << "memo read, iteration " << iter;
+    EXPECT_TRUE(first.empty() && second.empty())
+        << "a shared payload must be decoded into its memo, iteration "
+        << iter;
+    // The same bytes read under another arity or tag are decoded afresh.
+    const std::uint8_t other_tag = tag == kTagEcho ? kTagSupport : kTagEcho;
+    EXPECT_EQ(decode_indexed(other_tag, other, n, second),
+              decode_owned(other_tag, msg, n))
+        << "foreign tag, iteration " << iter;
+    EXPECT_EQ(decode_indexed(tag, other, n + 1, second),
+              decode_owned(tag, msg, n + 1))
+        << "foreign arity, iteration " << iter;
+    if (HasFailure()) return;
+  }
+  EXPECT_GT(accepted, 500u) << "most messages should survive their flips";
+  EXPECT_LT(accepted, 2900u) << "some flips must break the encoding";
 }
 
 }  // namespace

@@ -1,14 +1,19 @@
 // Payload / PayloadPool: refcounted sharing, copy-on-write detachment,
-// control-block recycling, and the Mailer broadcast interning that
-// motivates the whole design (one byte buffer shared by all n envelopes of
-// a broadcast).
+// control-block recycling, the Mailer broadcast interning that motivates
+// the whole design (one byte buffer shared by all n envelopes of a
+// broadcast), and the parse memo that lets those n receivers parse the
+// buffer once.
 #include "perf/arena.h"
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <cstdint>
+#include <span>
 #include <utility>
 #include <vector>
 
+#include "perf/parallel.h"
 #include "sim/envelope.h"
 #include "sim/process.h"
 
@@ -121,6 +126,152 @@ TEST(BroadcastInterning, CorruptionDetachesInsteadOfAliasing) {
   for (const std::size_t i : {0u, 1u, 3u}) {
     EXPECT_EQ(sink[i].payload, (Bytes{10, 20}))
         << "recipient " << i << " saw the corruption through sharing";
+  }
+}
+
+// --- Parse memo ----------------------------------------------------------------
+
+/// A stand-in parser: index entry i is byte i plus one, and the bytes are
+/// accepted iff the first one is odd. Counts its calls.
+struct CountingParse {
+  std::atomic<int>* calls;
+  bool operator()(std::span<const std::uint8_t> bytes,
+                  std::vector<std::uint32_t>& index) const {
+    calls->fetch_add(1, std::memory_order_relaxed);
+    for (const std::uint8_t b : bytes) index.push_back(b + 1u);
+    return !bytes.empty() && (bytes[0] & 1u) != 0;
+  }
+};
+
+TEST(Payload, MemoParsesOnceAcrossHandles) {
+  std::atomic<int> calls{0};
+  const Payload first(Bytes{3, 5, 7});
+  const std::vector<Payload> handles(5, first);
+  const PayloadMemo* memo = first.memo(42, CountingParse{&calls});
+  ASSERT_NE(memo, nullptr);
+  EXPECT_TRUE(memo->ok);
+  EXPECT_EQ(memo->key, 42u);
+  EXPECT_EQ(memo->index, (std::vector<std::uint32_t>{4, 6, 8}));
+  for (const Payload& h : handles) {
+    EXPECT_EQ(h.memo(42, CountingParse{&calls}), memo);
+  }
+  EXPECT_EQ(calls.load(), 1) << "every later reader must take the memo";
+
+  // A rejected parse is memoized too: its readers skip the bytes at once.
+  const Payload bad(Bytes{2});
+  const Payload bad_copy = bad;
+  const PayloadMemo* rejected = bad.memo(42, CountingParse{&calls});
+  ASSERT_NE(rejected, nullptr);
+  EXPECT_FALSE(rejected->ok);
+  EXPECT_EQ(bad_copy.memo(42, CountingParse{&calls}), rejected);
+  EXPECT_EQ(calls.load(), 2);
+}
+
+TEST(Payload, MemoNeverFilledByAnUnsharedHandle) {
+  std::atomic<int> calls{0};
+  const Payload alone(Bytes{1, 2});
+  EXPECT_EQ(alone.memo(1, CountingParse{&calls}), nullptr);
+  EXPECT_EQ(alone.memo(1, CountingParse{&calls}), nullptr);
+  EXPECT_EQ(calls.load(), 0) << "an unshared reader parses locally";
+  EXPECT_EQ(Payload().memo(1, CountingParse{&calls}), nullptr);
+
+  // Once shared, the first reader fills it.
+  const Payload copy = alone;  // NOLINT(performance-unnecessary-copy-initialization)
+  ASSERT_NE(copy.memo(1, CountingParse{&calls}), nullptr);
+  EXPECT_EQ(calls.load(), 1);
+}
+
+TEST(Payload, MemoDroppedWhenUnsharedBytesMayChange) {
+  std::atomic<int> calls{0};
+  Payload a(Bytes{1, 1});
+  Payload b = a;
+  ASSERT_NE(a.memo(7, CountingParse{&calls}), nullptr);
+
+  // A detached copy carries no memo: once shared again, it parses afresh.
+  b.mutable_bytes()[0] = 5;
+  EXPECT_EQ(b.memo(7, CountingParse{&calls}), nullptr);
+  const Payload b2 = b;  // NOLINT(performance-unnecessary-copy-initialization)
+  const PayloadMemo* detached = b2.memo(7, CountingParse{&calls});
+  ASSERT_NE(detached, nullptr);
+  EXPECT_EQ(detached->index, (std::vector<std::uint32_t>{6, 2}));
+  EXPECT_EQ(calls.load(), 2);
+
+  // `a` is unshared now; its memo still describes its bytes until a write
+  // access, which drops it.
+  ASSERT_FALSE(a.shared());
+  ASSERT_NE(a.memo(7, CountingParse{&calls}), nullptr);
+  a.mutable_bytes()[1] = 9;
+  EXPECT_EQ(a.memo(7, CountingParse{&calls}), nullptr);
+  const Payload a2 = a;  // NOLINT(performance-unnecessary-copy-initialization)
+  const PayloadMemo* fresh = a2.memo(7, CountingParse{&calls});
+  ASSERT_NE(fresh, nullptr);
+  EXPECT_EQ(fresh->index, (std::vector<std::uint32_t>{2, 10}));
+  EXPECT_EQ(calls.load(), 3);
+}
+
+TEST(Payload, MemoStartsEmptyOnARecycledPoolRep) {
+  std::atomic<int> calls{0};
+  PayloadPool pool;
+  Payload a = pool.copy_of(Bytes{1});
+  Payload b = a;
+  ASSERT_NE(a.memo(3, CountingParse{&calls}), nullptr);
+  a.release(&pool);
+  b.release(&pool);
+  ASSERT_EQ(pool.pooled(), 1u);
+
+  Payload c = pool.copy_of(Bytes{3, 4});
+  ASSERT_EQ(pool.pooled(), 0u) << "the memoized rep was reused";
+  const Payload d = c;  // NOLINT(performance-unnecessary-copy-initialization)
+  const PayloadMemo* memo = d.memo(3, CountingParse{&calls});
+  ASSERT_NE(memo, nullptr);
+  EXPECT_EQ(memo->index, (std::vector<std::uint32_t>{4, 5}));
+  EXPECT_EQ(calls.load(), 2);
+  c.release(&pool);
+}
+
+TEST(Payload, MemoUnderAnotherKeyParsesLocally) {
+  std::atomic<int> calls{0};
+  const Payload a(Bytes{1});
+  const Payload b = a;  // NOLINT(performance-unnecessary-copy-initialization)
+  ASSERT_NE(a.memo(2, CountingParse{&calls}), nullptr);
+  EXPECT_EQ(b.memo(3, CountingParse{&calls}), nullptr);
+  EXPECT_EQ(calls.load(), 1) << "a foreign key must not refill the memo";
+  EXPECT_NE(b.memo(2, CountingParse{&calls}), nullptr);
+}
+
+// Readers on four real threads race for one shared rep: exactly one fills
+// the memo, a reader that finds it still filling parses locally, and every
+// reader sees the same index. Run under TSan by CI's race-audit job.
+TEST(Payload, MemoRaceAcrossWorkersYieldsOneIndex) {
+  WorkerPool pool(4, 4);
+  constexpr std::size_t kReaders = 64;
+  for (int trial = 0; trial < 50; ++trial) {
+    Bytes bytes(200);
+    for (std::size_t i = 0; i < bytes.size(); ++i) {
+      bytes[i] = static_cast<std::uint8_t>(i * 7 +
+                                           static_cast<std::size_t>(trial));
+    }
+    const Payload shared(std::move(bytes));
+    const std::vector<Payload> handles(kReaders, shared);
+    std::atomic<int> memo_calls{0};
+    std::atomic<int> local_calls{0};
+    std::vector<std::vector<std::uint32_t>> seen(kReaders);
+    pool.run(kReaders, [&](std::size_t, std::size_t begin, std::size_t end) {
+      for (std::size_t i = begin; i < end; ++i) {
+        const PayloadMemo* memo =
+            handles[i].memo(9, CountingParse{&memo_calls});
+        if (memo != nullptr) {
+          seen[i] = memo->index;
+        } else {
+          (void)CountingParse{&local_calls}(handles[i].bytes(), seen[i]);
+        }
+      }
+    });
+    ASSERT_EQ(memo_calls.load(), 1) << "trial " << trial;
+    for (std::size_t i = 1; i < kReaders; ++i) {
+      ASSERT_EQ(seen[i], seen[0]) << "trial " << trial << " reader " << i;
+    }
+    EXPECT_NE(shared.memo(9, CountingParse{&memo_calls}), nullptr);
   }
 }
 
