@@ -135,6 +135,17 @@ RunResult run_tree_aa(const LabeledTree& tree,
                       std::unique_ptr<sim::Adversary> adversary,
                       const obs::Hooks* hooks,
                       sim::EngineOptions engine_opts) {
+  return run_tree_aa(perf::TreeIndex(tree), inputs, t, opts,
+                     std::move(adversary), hooks, engine_opts);
+}
+
+RunResult run_tree_aa(const perf::TreeIndex& index,
+                      const std::vector<VertexId>& inputs, std::size_t t,
+                      TreeAAOptions opts,
+                      std::unique_ptr<sim::Adversary> adversary,
+                      const obs::Hooks* hooks,
+                      sim::EngineOptions engine_opts) {
+  const LabeledTree& tree = index.tree();
   const std::size_t n = inputs.size();
   TREEAA_REQUIRE_MSG(fault_bound_holds(n, t),
                      "TreeAA requires n > 3t (n = " << n << ", t = " << t
@@ -150,7 +161,6 @@ RunResult run_tree_aa(const LabeledTree& tree,
   }
   // One shared index serves every party's LCA/projection queries and the
   // per-round probes.
-  const perf::TreeIndex index(tree);
   return detail::run_tree_aa_over(
       index, inputs, t, opts, std::move(adversary), hooks, engine_opts,
       [&index](const sim::Engine& engine,

@@ -65,6 +65,14 @@ struct RunResult {
     std::unique_ptr<sim::Adversary> adversary = nullptr,
     const obs::Hooks* hooks = nullptr, sim::EngineOptions engine_opts = {});
 
+/// run_tree_aa over a prebuilt index of the input tree, for callers that
+/// also judge the run through it (see check_agreement below).
+[[nodiscard]] RunResult run_tree_aa(
+    const perf::TreeIndex& index, const std::vector<VertexId>& inputs,
+    std::size_t t, TreeAAOptions opts = {},
+    std::unique_ptr<sim::Adversary> adversary = nullptr,
+    const obs::Hooks* hooks = nullptr, sim::EngineOptions engine_opts = {});
+
 namespace detail {
 
 /// Merges the live TreeAA parties' state into the sample of the round that

@@ -15,6 +15,7 @@
 #include "harness/runner.h"
 #include "obs/probe.h"
 #include "perf/parallel.h"
+#include "perf/tree_index.h"
 #include "sim/engine.h"
 #include "sim/strategies.h"
 #include "sim/trace.h"
@@ -113,6 +114,7 @@ void run_cell_body(const Cell& cell, CellResult& result, Rng& cell_rng,
   rs.hooks = hooks;
 
   std::optional<LabeledTree> tree;
+  std::optional<perf::TreeIndex> tree_index;
   std::optional<graphs::BlockIndex> index;
   // Fekete's bound for the cell's input space; on R it is scale-invariant:
   // spread D with target eps is the instance spread D/eps with target 1.
@@ -127,6 +129,7 @@ void run_cell_body(const Cell& cell, CellResult& result, Rng& cell_rng,
   } else if (is_vertex_protocol(cell.protocol)) {
     tree.emplace(build_tree(cell, cell_rng));
     rs.tree = &*tree;
+    rs.tree_index = &tree_index.emplace(*tree);
     result.tree_n = tree->n();
     result.tree_diameter = tree->diameter();
     d0 = static_cast<double>(tree->diameter());

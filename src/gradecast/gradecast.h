@@ -25,6 +25,8 @@
 // forward their rounds, offset into the 3-step schedule.
 #pragma once
 
+#include <cstddef>
+#include <cstdint>
 #include <optional>
 #include <span>
 #include <vector>
@@ -44,6 +46,12 @@ struct GradedValue {
   std::optional<Bytes> value;
   int grade = 0;
 };
+
+/// The key under which BatchGradecast memoizes a step tally of `tag`
+/// messages of `n` slots, with `k` counters per leader, on the first
+/// counted payload of an inbox (perf::MemoSlot::kInboxTally).
+[[nodiscard]] std::uint64_t tally_memo_key(std::uint8_t tag, std::size_t n,
+                                           std::size_t k);
 
 class BatchGradecast {
  public:
@@ -68,10 +76,12 @@ class BatchGradecast {
   [[nodiscard]] const std::vector<GradedValue>& results() const;
 
  private:
-  /// A Misra–Gries counter: a candidate value for one leader and its count.
+  /// A Misra–Gries counter: a candidate value for one leader, its count,
+  /// and the position in order_ of the counted message `value` points into.
   struct Counter {
     ByteView value;
-    std::size_t count = 0;
+    std::uint32_t count = 0;
+    std::uint32_t pos = 0;
   };
 
   /// One leader's counters, at counters_[l * k_, l * k_ + live).
@@ -81,25 +91,55 @@ class BatchGradecast {
     bool exact = true;
   };
 
-  /// Tallies one echo/support round in two linear passes over the inbox,
-  /// keeping `k` counters per leader (leaders this party denies are
-  /// skipped when `skip_denied`). Per sender, the first syntactically
-  /// valid message with the right tag counts; malformed attempts are
-  /// skipped and later messages from the same sender are ignored.
+  /// Tallies one echo/support round, keeping `k` counters per leader. Per
+  /// sender, the first syntactically valid message with the right tag
+  /// counts; malformed attempts are skipped and later messages from the
+  /// same sender are ignored. One pass collects the counted messages in
+  /// inbox order (order_; decode_slots reads a shared payload's slot index
+  /// from its memo). Then the tally comes from one of three places:
   ///
-  /// Pass 1 decodes each counted message (decode_slots: a broadcast's
-  /// shared payload is indexed once, by its first receiver) and folds its
-  /// slots straight from the index into the leaders' Misra–Gries counters,
-  /// so every value held by more than m / (k + 1) of the m present slots
+  ///  * the first counted payload's tally memo (perf::MemoSlot::kInboxTally)
+  ///    when its recorded counted sequence — one (sender, content stamp)
+  ///    pair per counted message — equals this receiver's, element by
+  ///    element. It holds each leader's best survivor and its exact count,
+  ///    which become this receiver's only counter for that leader. In the
+  ///    synchronous model every receiver of a round's broadcasts counts the
+  ///    same shared payloads in the same order, so all but the first
+  ///    receiver take this path;
+  ///  * tally_local(), published as that memo when this receiver is the
+  ///    first to claim it (a shared first payload with an empty memo);
+  ///  * tally_local() alone, for everyone else.
+  ///
+  /// The tally is a function of (tag, n, k) and the counted bytes only, so
+  /// sharing it is exact. It folds every leader, including the ones this
+  /// receiver denies: Misra–Gries counters are per leader and independent
+  /// of each other, and step 1 never reads a denied leader's counters, so
+  /// on every leader that is read the unfiltered tally equals one that
+  /// skipped the denied leaders' folds.
+  void tally_round(std::uint8_t tag, std::span<const sim::Envelope> inbox,
+                   std::size_t k);
+
+  /// The tally of the messages in order_, in two linear passes: pass 1
+  /// folds each message's slots into the leaders' Misra–Gries counters, so
+  /// every value held by more than m / (k + 1) of the m present slots
   /// survives. A leader whose counters never had to cancel holds exact
   /// counts of all its values; for the others, pass 2 re-reads the counted
   /// messages and makes the survivors' counts exact. Without hostile
   /// senders pass 2 is skipped.
-  void tally_round(std::uint8_t tag, std::span<const sim::Envelope> inbox,
-                   std::size_t k, bool skip_denied);
+  void tally_local(std::uint8_t tag);
 
-  /// Adds one slot value for leader `l` to its counters.
-  void fold(PartyId l, ByteView value);
+  /// Writes the tally memo entry of the tally just computed: the counted
+  /// sequence, then per leader the best survivor's (position, offset,
+  /// length, count), position kNoSurvivor when none survived.
+  void publish_tally(std::vector<std::uint32_t>& entry) const;
+
+  /// Takes the tally from `entry` if its counted sequence equals order_'s;
+  /// false otherwise, with the tally state untouched.
+  bool take_tally(const std::vector<std::uint32_t>& entry);
+
+  /// Adds one slot value for leader `l`, read from order_[pos], to its
+  /// counters.
+  void fold(PartyId l, ByteView value, std::uint32_t pos);
 
   /// Leader `l`'s surviving value with the highest exact count, ties broken
   /// to the lexicographically smallest value; nullptr if none survived.
@@ -121,8 +161,9 @@ class BatchGradecast {
   // every step. Counter views alias inbox payloads and are only used inside
   // the on_step_end call that produced them.
   SlotScratch scratch_;  // decodes of messages no memo serves (unshared)
-  std::vector<const sim::Envelope*> counted_;  // per sender: the message
-                                               // that counts, or nullptr
+  std::vector<bool> seen_;  // per sender: a message of it already counts
+  std::vector<const sim::Envelope*> order_;  // the counted messages, in
+                                             // inbox order
   std::vector<Counter> counters_;  // k_ per leader, see Tally
   std::vector<Tally> tallies_;     // per leader
   std::size_t k_ = 0;              // counters per leader this round

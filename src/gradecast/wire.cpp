@@ -151,7 +151,7 @@ bool decode_slots_view(std::uint8_t tag, ByteView msg,
 std::optional<SlotRow> decode_slots(std::uint8_t tag, const perf::Payload& msg,
                                     std::size_t count, SlotScratch& scratch) {
   const perf::PayloadMemo* memo = msg.memo(
-      slots_memo_key(tag, count),
+      perf::MemoSlot::kSlotIndex, slots_memo_key(tag, count),
       [&](ByteView bytes, std::vector<std::uint32_t>& index) {
         index.resize(2 * count);
         return index_slots(tag, bytes, index);

@@ -142,6 +142,15 @@ const LabeledTree& spec_tree(const RunSpec& spec) {
   return *spec.tree;
 }
 
+/// The spec's tree index: the caller's (RunSpec::tree_index), else `own`,
+/// built here.
+const perf::TreeIndex& spec_tree_index(const RunSpec& spec,
+                                       std::optional<perf::TreeIndex>& own) {
+  if (spec.tree_index == nullptr) return own.emplace(spec_tree(spec));
+  TREEAA_REQUIRE(&spec.tree_index->tree() == &spec_tree(spec));
+  return *spec.tree_index;
+}
+
 const graphs::BlockIndex& spec_index(const RunSpec& spec) {
   TREEAA_REQUIRE(spec.block_index != nullptr);
   return *spec.block_index;
@@ -202,9 +211,11 @@ RunOutcome from_tree_run(core::RunResult&& run) {
 }
 
 RunOutcome run_tree_aa_impl(RunSpec& spec) {
+  std::optional<perf::TreeIndex> own;
   return from_tree_run(core::run_tree_aa(
-      spec_tree(spec), spec.vertex_inputs, spec.t, tree_options(spec),
-      std::move(spec.adversary), spec.hooks, sim::EngineOptions{spec.threads}));
+      spec_tree_index(spec, own), spec.vertex_inputs, spec.t,
+      tree_options(spec), std::move(spec.adversary), spec.hooks,
+      sim::EngineOptions{spec.threads}));
 }
 
 RunOutcome run_block_aa_impl(RunSpec& spec) {
@@ -399,7 +410,8 @@ RunOutcome run_paths_finder_impl(RunSpec& spec) {
   const core::PathsFinderOptions opts = paths_finder_options(spec);
   // One shared index serves every party's Euler positions and materialises
   // output paths without per-call tree walks.
-  const perf::TreeIndex index(tree);
+  std::optional<perf::TreeIndex> own;
+  const perf::TreeIndex& index = spec_tree_index(spec, own);
   RunOutcome run;
   run.paths.resize(n);
   const obs::Hooks* hooks = spec.hooks;
@@ -786,7 +798,9 @@ namespace {
 /// that every honest party ends with a non-empty root-anchored path and
 /// that honest paths differ by at most one edge (Lemma 4), observable as
 /// tip distance <= 1.
-Verdict check_paths(const LabeledTree& tree, const RunOutcome& outcome) {
+Verdict check_paths(const perf::TreeIndex& index,
+                    const RunOutcome& outcome) {
+  const LabeledTree& tree = index.tree();
   bool rooted = true;
   std::vector<VertexId> tips;
   for (const auto& path : outcome.paths) {
@@ -798,8 +812,7 @@ Verdict check_paths(const LabeledTree& tree, const RunOutcome& outcome) {
     tips.push_back(path->back());
   }
   if (tips.empty()) return Verdict{};
-  const std::uint32_t spread =
-      perf::TreeIndex(tree).max_pairwise_distance(tips, tips);
+  const std::uint32_t spread = index.max_pairwise_distance(tips, tips);
   return Verdict{rooted, spread <= 1, static_cast<double>(spread)};
 }
 
@@ -830,8 +843,9 @@ Verdict check_reals(const RunSpec& spec, const RunOutcome& outcome) {
 }  // namespace
 
 Verdict check_outcome(const RunSpec& spec, const RunOutcome& outcome) {
+  std::optional<perf::TreeIndex> own;
   if (spec.protocol == ProtocolKind::kPathsFinder) {
-    return check_paths(spec_tree(spec), outcome);
+    return check_paths(spec_tree_index(spec, own), outcome);
   }
   if (!is_vertex_protocol(spec.protocol) && !is_graph_protocol(spec.protocol)) {
     return check_reals(spec, outcome);
@@ -850,8 +864,8 @@ Verdict check_outcome(const RunSpec& spec, const RunOutcome& outcome) {
     return Verdict{check.valid, check.one_agreement,
                    static_cast<double>(check.max_pairwise_distance)};
   }
-  const auto check =
-      core::check_agreement(spec_tree(spec), honest_inputs, honest_outputs);
+  const auto check = core::check_agreement(spec_tree_index(spec, own),
+                                           honest_inputs, honest_outputs);
   return Verdict{check.valid, check.one_agreement,
                  static_cast<double>(check.max_pairwise_distance)};
 }

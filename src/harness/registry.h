@@ -49,6 +49,7 @@
 #include "core/real_engine.h"
 #include "graphs/block_index.h"
 #include "obs/report.h"
+#include "perf/tree_index.h"
 #include "realaa/real_aa.h"
 #include "sim/adversary.h"
 #include "sim/stats.h"
@@ -163,6 +164,11 @@ struct RunSpec {
   // input vertex per party.
   const LabeledTree* tree = nullptr;
   std::vector<VertexId> vertex_inputs;
+  // Optional index of `tree` (must outlive the call). TreeAA and
+  // PathsFinder run over it and check_outcome judges every vertex protocol
+  // through it, so a caller that sets it builds one index per run instead
+  // of one per use.
+  const perf::TreeIndex* tree_index = nullptr;
 
   // Graph protocols: the input-space block graph's index (must outlive the
   // call); vertex_inputs then holds graph vertices.

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <limits>
 #include <map>
+#include <optional>
 #include <set>
 #include <stdexcept>
 #include <utility>
@@ -11,6 +12,7 @@
 #include "exp/ledger.h"
 #include "obs/report.h"
 #include "perf/parallel.h"
+#include "perf/tree_index.h"
 
 namespace treeaa::hunt {
 
@@ -76,6 +78,8 @@ Evaluation evaluate_spec(const MaterializedScenario& scenario,
 
   harness::RunSpec rs = run_spec(scenario);
   rs.hooks = &hooks;
+  std::optional<perf::TreeIndex> tree_index;
+  if (rs.tree != nullptr) rs.tree_index = &tree_index.emplace(*rs.tree);
 
   harness::RunOutcome outcome;
   try {

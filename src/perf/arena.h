@@ -25,11 +25,22 @@
 // thread-safe: the engine gives each worker lane its own PayloadPool and
 // only touches them from one thread at a time.
 //
-// A shared payload also carries a parse memo (PayloadMemo), so the n
+// A shared payload also carries parse memos (PayloadMemo), so the n
 // receivers of a broadcast parse its bytes once instead of n times
-// (Payload::memo; the gradecast echo/support decoder is the user). The
-// memo is a pure function of the bytes under its key, and it keeps these
-// invariants:
+// (Payload::memo). A rep has one memo per MemoSlot: the gradecast slot
+// index of its own bytes (kSlotIndex), and the gradecast step tally of an
+// inbox whose first counted message it is (kInboxTally). The second one
+// describes other reps too, so it names them by content stamp:
+//
+//   * every rep carries a stamp, unique process-wide, renewed wherever the
+//     memos reset (a new rep, a detached copy, PayloadPool::take_rep and an
+//     unshared mutable_bytes()). So two live handles with the same stamp
+//     name the same rep holding the same bytes. A rep pointer alone would
+//     not do: a PayloadPool recycles a rep, new bytes and all, at the same
+//     address.
+//
+// A memo is a pure function of the bytes under its key (and, for the tally,
+// of the bytes of the reps it names), and it keeps these invariants:
 //
 //   * only a shared handle fills a memo: the first reader claims it with
 //     one CAS (empty -> filling), parses, and publishes with a release
@@ -37,10 +48,17 @@
 //     with an acquire load. A reader that finds it filling, or ready under
 //     another key, parses locally — nobody ever waits;
 //   * the bytes stay immutable while the memo is ready: a shared handle's
-//     mutable_bytes() detaches a fresh rep (whose memo starts empty), and
-//     an unshared handle's mutable_bytes() resets the memo, since the
-//     bytes may change;
-//   * PayloadPool::take_rep resets the memo of a recycled rep.
+//     mutable_bytes() detaches a fresh rep (whose memos start empty), and
+//     an unshared handle's mutable_bytes() resets them, since the bytes may
+//     change;
+//   * PayloadPool::take_rep resets the memos of a recycled rep.
+//
+// A memo is trusted library state, read by every receiver of the payload
+// in place of its own parse. Only the gradecast decoder and tally
+// (src/gradecast/) fill one: a Byzantine strategy that filled a memo with a
+// parse of its own would forge honest parties' decodes and tallies without
+// sending a single message. The ctest payload_memo_fills_only_in_gradecast
+// keeps every other file under src/ from calling memo().
 #pragma once
 
 #include <atomic>
@@ -69,13 +87,37 @@ struct PayloadMemo {
   std::vector<std::uint32_t> index;
 };
 
-/// Control block of a shared payload: the byte buffer, its reference count
-/// and its parse memo. Pool-recycled together with the buffer's and the
-/// index's capacity.
+/// The memos of a rep, one per kind of parse, so neither evicts the other.
+enum class MemoSlot : std::uint8_t {
+  kSlotIndex,   // the gradecast slot index of this rep's bytes
+  kInboxTally,  // a gradecast step tally of an inbox led by this rep
+};
+inline constexpr std::size_t kMemoSlots = 2;
+
+namespace detail {
+/// The source of content stamps; 0 is never handed out.
+inline std::atomic<std::uint64_t> next_stamp{1};
+inline std::uint64_t new_stamp() {
+  return next_stamp.fetch_add(1, std::memory_order_relaxed);
+}
+}  // namespace detail
+
+/// Control block of a shared payload: the byte buffer, its reference count,
+/// its content stamp and its parse memos. Pool-recycled together with the
+/// buffer's and the memos' capacity.
 struct PayloadRep {
   std::atomic<std::uint32_t> refs{1};
+  std::uint64_t stamp = detail::new_stamp();
   Bytes bytes;
-  PayloadMemo memo;
+  PayloadMemo memos[kMemoSlots];
+
+  /// The bytes may change (or have): a new stamp, and no memo.
+  void renew() {
+    stamp = detail::new_stamp();
+    for (PayloadMemo& m : memos) {
+      m.state.store(PayloadMemo::kEmpty, std::memory_order_relaxed);
+    }
+  }
 };
 
 /// A refcounted, copy-on-write handle around a message payload. Copying a
@@ -146,18 +188,24 @@ class Payload {
   }
   [[nodiscard]] bool shared() const { return use_count() > 1; }
 
-  /// The parse of these bytes under `key`, memoized on the shared control
+  /// The content stamp of the bytes (see the header comment); 0 when empty.
+  [[nodiscard]] std::uint64_t stamp() const {
+    return rep_ != nullptr ? rep_->stamp : 0;
+  }
+
+  /// The parse in memo `slot` under `key`, memoized on the shared control
   /// block, or nullptr when the caller must parse locally: the handle is
   /// empty or unshared, another reader is still filling the memo, or it
   /// holds another key. The first reader of a shared payload fills it by
   /// calling `parse(bytes, index)` on an empty index; its bool result is the
   /// memo's `ok`. `parse` must be a pure function of the bytes for a given
-  /// key.
+  /// key (a kInboxTally parse: of the bytes of the reps its index names by
+  /// stamp, this rep first).
   template <typename Parse>
-  [[nodiscard]] const PayloadMemo* memo(std::uint64_t key,
+  [[nodiscard]] const PayloadMemo* memo(MemoSlot slot, std::uint64_t key,
                                         Parse&& parse) const {
     if (rep_ == nullptr) return nullptr;
-    PayloadMemo& m = rep_->memo;
+    PayloadMemo& m = rep_->memos[static_cast<std::size_t>(slot)];
     std::uint8_t state = m.state.load(std::memory_order_acquire);
     if (state == PayloadMemo::kEmpty && shared() &&
         m.state.compare_exchange_strong(state, PayloadMemo::kFilling,
@@ -173,7 +221,8 @@ class Payload {
 
   /// Copy-on-write mutable access: a shared handle first detaches its own
   /// copy of the bytes, so writes are never visible through other handles;
-  /// an unshared one drops its memo, since the bytes may change.
+  /// an unshared one renews its stamp and drops its memos, since the bytes
+  /// may change.
   [[nodiscard]] Bytes& mutable_bytes() {
     if (rep_ == nullptr) {
       rep_ = new PayloadRep;
@@ -187,7 +236,7 @@ class Payload {
       release(nullptr);
       rep_ = detached;
     } else {
-      rep_->memo.state.store(PayloadMemo::kEmpty, std::memory_order_relaxed);
+      rep_->renew();
     }
     return rep_->bytes;
   }
@@ -238,7 +287,7 @@ class PayloadPool {
     free_.pop_back();
     rep->refs.store(1, std::memory_order_relaxed);
     rep->bytes.clear();
-    rep->memo.state.store(PayloadMemo::kEmpty, std::memory_order_relaxed);
+    rep->renew();
     return rep;
   }
 

@@ -1,5 +1,6 @@
 #include "serve/instance.h"
 
+#include <optional>
 #include <utility>
 
 #include "common/rng.h"
@@ -7,6 +8,7 @@
 #include "harness/adversary_spec.h"
 #include "harness/runner.h"
 #include "obs/report.h"
+#include "perf/tree_index.h"
 #include "sim/strategies.h"
 
 namespace treeaa::serve {
@@ -204,6 +206,7 @@ InstanceResult run_instance(const Catalog& catalog, const OpenRequest& req,
     spec.n = n;
     spec.t = t;
     spec.threads = 1;  // parallelism is across instances, never inside one
+    std::optional<perf::TreeIndex> tree_index;
 
     const bool spread = req.inputs == InputKind::kSpread;
     if (harness::is_graph_protocol(protocol)) {
@@ -215,6 +218,7 @@ InstanceResult run_instance(const Catalog& catalog, const OpenRequest& req,
     } else if (harness::is_vertex_protocol(protocol)) {
       const LabeledTree& tree = *catalog.tree(req.topology);
       spec.tree = &tree;
+      spec.tree_index = &tree_index.emplace(tree);
       spec.vertex_inputs =
           spread ? harness::spread_vertex_inputs(tree, n)
                  : harness::random_vertex_inputs(tree, n, input_rng);

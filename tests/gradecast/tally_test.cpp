@@ -4,9 +4,11 @@
 // n - t and t + 1 thresholds, ⊥-heavy rows and empty values, duplicate,
 // malformed and wrong-tag messages from one sender, and any number of
 // hostile senders, at n ∈ {4, 7, 16, 64}. Every batch runs twice: once on
-// unshared payloads (each receiver decodes locally) and once with every
-// payload shared between two receivers' inboxes (the first receiver's
-// decode is memoized on the payload and the second reads the memo).
+// unshared payloads (each receiver decodes and tallies locally) and once
+// with every payload shared between two receivers' inboxes (the first
+// receiver's decode and step tally are memoized on the payloads and the
+// second reads the memos). The SharedTally tests below pin when a receiver
+// may read another's tally and when it must not.
 // GradecastGolden pins the results of a fixed set of those batches.
 #include <gtest/gtest.h>
 
@@ -15,6 +17,7 @@
 #include <optional>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/rng.h"
@@ -411,20 +414,278 @@ TEST(GradecastTally, MatchesSortAndRunLengthReference) {
   }
 }
 
+// --- The shared step tally ---------------------------------------------------
+
+/// Counters per leader in step `tag` of a batch with n parties, t faults.
+std::size_t counters_for(std::uint8_t tag, std::size_t n, std::size_t t) {
+  return tag == kTagEcho ? 1 : n / (t + 1) + 1;
+}
+
+/// The messages of `inbox` a receiver counts in step `tag`: per sender, the
+/// first that decodes, in inbox order.
+std::vector<const Envelope*> counted_messages(std::uint8_t tag,
+                                              std::span<const Envelope> inbox,
+                                              std::size_t n) {
+  std::vector<bool> seen(n, false);
+  std::vector<const Envelope*> counted;
+  for (const Envelope& e : inbox) {
+    if (e.from >= n || seen[e.from]) continue;
+    if (!decode_owned(tag, e.payload, n).has_value()) continue;
+    seen[e.from] = true;
+    counted.push_back(&e);
+  }
+  return counted;
+}
+
+/// The head of a tally memo entry for `inbox`: the number of counted
+/// messages, then per counted message its sender and content stamp.
+std::vector<std::uint32_t> counted_sequence(std::uint8_t tag,
+                                            std::span<const Envelope> inbox,
+                                            std::size_t n) {
+  const std::vector<const Envelope*> counted =
+      counted_messages(tag, inbox, n);
+  std::vector<std::uint32_t> seq{static_cast<std::uint32_t>(counted.size())};
+  for (const Envelope* e : counted) {
+    const std::uint64_t stamp = e->payload.stamp();
+    seq.insert(seq.end(), {e->from, static_cast<std::uint32_t>(stamp),
+                           static_cast<std::uint32_t>(stamp >> 32)});
+  }
+  return seq;
+}
+
+/// The ready tally memo `first` holds for step `tag`, or nullptr. Never
+/// fills one: an empty memo is a test failure.
+const perf::PayloadMemo* ready_tally(const perf::Payload& first,
+                                     std::uint8_t tag, std::size_t n,
+                                     std::size_t t) {
+  return first.memo(
+      perf::MemoSlot::kInboxTally,
+      tally_memo_key(tag, n, counters_for(tag, n, t)),
+      [](ByteView, std::vector<std::uint32_t>&) {
+        ADD_FAILURE() << "no receiver filled the tally memo";
+        return false;
+      });
+}
+
+/// True iff step `step` of `b` has a tally memo, on its first counted
+/// payload, recorded for exactly the messages a receiver of `b` counts —
+/// so every receiver of `b` that tallies that step from now on reads it.
+bool tally_is_shared(const Batch& b, std::size_t step) {
+  const std::uint8_t tag = step == 1 ? kTagEcho : kTagSupport;
+  const std::vector<const Envelope*> counted =
+      counted_messages(tag, b.inbox[step], b.n);
+  if (counted.empty()) return false;
+  const perf::PayloadMemo* memo =
+      ready_tally(counted.front()->payload, tag, b.n, b.t);
+  if (memo == nullptr || !memo->ok) return false;
+  const std::vector<std::uint32_t> seq =
+      counted_sequence(tag, b.inbox[step], b.n);
+  return memo->index.size() >= seq.size() &&
+         std::equal(seq.begin(), seq.end(), memo->index.begin());
+}
+
+// Twin receivers with different deny masks share one inbox: the first
+// tallies and publishes, the second provably reads that tally (the memo is
+// ready and records its counted sequence), and each must equal its own
+// reference. The first denies leaders the second supports, so a shared
+// tally that skipped the first receiver's denied leaders would fail here.
+TEST(GradecastTally, SharedTallyAcrossDenyMasks) {
+  std::size_t shared_steps = 0;
+  std::size_t supports_denied_by_filler = 0;
+  for (const std::size_t n : {4u, 7u, 16u, 64u}) {
+    const std::uint64_t batches = n == 64 ? 40 : 150;
+    for (std::uint64_t seed = 1; seed <= batches; ++seed) {
+      const std::string where =
+          "n=" + std::to_string(n) + " seed=" + std::to_string(seed);
+      Batch second = craft_batch(n, 3000 + seed);
+      Rng rng(seed);
+      Batch first = second;  // shares every payload
+      for (std::size_t l = 0; l < n; ++l) {
+        first.deny[l] = rng.chance(0.4);
+        second.deny[l] = !first.deny[l] && rng.chance(0.2);
+      }
+      expect_matches_reference(first, where + " first receiver");
+      for (const std::size_t step : {1u, 2u}) {
+        if (counted_messages(step == 1 ? kTagEcho : kTagSupport,
+                             second.inbox[step], n)
+                .empty()) {
+          continue;
+        }
+        ASSERT_TRUE(tally_is_shared(second, step)) << where << " step "
+                                                   << step;
+        ++shared_steps;
+      }
+      const Observed o =
+          expect_matches_reference(second, where + " second receiver");
+      const auto supports = decode_owned(kTagSupport, o.sent[2], n);
+      ASSERT_TRUE(supports.has_value());
+      for (std::size_t l = 0; l < n; ++l) {
+        if (first.deny[l] && (*supports)[l].has_value()) {
+          ++supports_denied_by_filler;
+        }
+      }
+      if (HasFailure()) return;
+    }
+  }
+  EXPECT_GT(shared_steps, 600u);
+  EXPECT_GT(supports_denied_by_filler, 100u)
+      << "the second receiver must support leaders the first one denies";
+}
+
+/// A support row backing `value` for every leader.
+Bytes support_row(std::size_t n, const Bytes& value) {
+  return encode_slots(kTagSupport, std::vector<Slot>(n, value));
+}
+
+/// A batch at n = 7, t = 2 whose only traffic is `support`.
+Batch support_batch(std::vector<Envelope> support) {
+  Batch b;
+  b.n = 7;
+  b.t = 2;
+  b.deny.assign(b.n, false);
+  b.inbox[2] = std::move(support);
+  return b;
+}
+
+// A tally memo names the messages it counted by content stamp, never by
+// rep address: a PayloadPool hands a recycled rep back at the same address
+// with new bytes, and a receiver that counts it must not read the tally of
+// the old bytes.
+TEST(GradecastTally, RecycledRepNeverHitsAStaleTally) {
+  const Bytes a{0x0A}, b{0x0B};
+  perf::PayloadPool pool;
+  const perf::Payload first(support_row(7, a));  // holds the memo
+  const perf::Payload others[] = {perf::Payload(support_row(7, a)),
+                                  perf::Payload(support_row(7, a)),
+                                  perf::Payload(support_row(7, a))};
+  perf::Payload recycled = pool.copy_of(support_row(7, a));
+  const Bytes* const rep = &recycled.bytes();
+  const auto inbox_with = [&](const perf::Payload& fifth) {
+    return std::vector<Envelope>{{0, 0, 3, first},     {1, 0, 3, others[0]},
+                                 {2, 0, 3, others[1]}, {3, 0, 3, others[2]},
+                                 {4, 0, 3, fifth}};
+  };
+
+  // Five supports of `a`: n - t, grade 2. The first receiver publishes.
+  {
+    const Batch before = support_batch(inbox_with(recycled));
+    const Observed o = expect_matches_reference(before, "before");
+    EXPECT_EQ(o.results[0].grade, 2);
+    EXPECT_TRUE(tally_is_shared(before, 2));
+  }
+  recycled.release(&pool);
+  ASSERT_EQ(pool.pooled(), 1u);
+
+  // Sender 4 now backs `b` from the same rep at the same address: four
+  // supports of `a`, grade 1.
+  recycled = pool.copy_of(support_row(7, b));
+  ASSERT_EQ(&recycled.bytes(), rep) << "the pool must reuse the rep";
+  const Batch after = support_batch(inbox_with(recycled));
+  EXPECT_FALSE(tally_is_shared(after, 2));
+  const Observed o = expect_matches_reference(after, "after recycling");
+  for (const GradedValue& r : o.results) {
+    EXPECT_EQ(r.grade, 1);
+    EXPECT_EQ(r.value, a);
+  }
+}
+
+// Receivers whose counted messages differ from the memo's in any way —
+// reordered, one more (a replay by another sender), one substituted, or
+// the same rep counted for another sender — share the memo holder but
+// tally locally, each matching its own reference; the memo keeps the
+// first receiver's sequence and a later receiver of that inbox still
+// reads it.
+TEST(GradecastTally, DifferentSequencesTallyLocally) {
+  const Bytes a{0x0A}, b{0x0B};
+  std::vector<perf::Payload> reps;
+  for (const Bytes& v : {a, a, a, a, b, b}) {
+    reps.emplace_back(support_row(7, v));
+  }
+  const auto inbox = [&](std::vector<std::pair<PartyId, perf::Payload>> m) {
+    std::vector<Envelope> out;
+    for (auto& [from, payload] : m) {
+      out.push_back(Envelope{from, 0, 3, std::move(payload)});
+    }
+    return support_batch(std::move(out));
+  };
+  // Four supports of `a` (grade 1) and two of `b`.
+  const Batch base = inbox({{0, reps[0]}, {1, reps[1]}, {2, reps[2]},
+                            {3, reps[3]}, {4, reps[4]}, {5, reps[5]}});
+  const Observed want = expect_matches_reference(base, "base");
+  EXPECT_EQ(want.results[0].grade, 1);
+  ASSERT_TRUE(tally_is_shared(base, 2));
+
+  struct Variant {
+    const char* name;
+    Batch batch;
+    int grade;
+  };
+  const Variant variants[] = {
+      {"reordered",
+       inbox({{0, reps[0]}, {1, reps[1]}, {2, reps[2]}, {4, reps[4]},
+              {3, reps[3]}, {5, reps[5]}}),
+       1},
+      {"replayed by sender 6",
+       inbox({{0, reps[0]}, {1, reps[1]}, {2, reps[2]}, {3, reps[3]},
+              {4, reps[4]}, {5, reps[5]}, {6, reps[3]}}),
+       2},
+      {"substituted",
+       inbox({{0, reps[0]}, {1, reps[1]}, {2, reps[2]}, {3, reps[3]},
+              {4, perf::Payload(support_row(7, a))}, {5, reps[5]}}),
+       2},
+      {"counted for another sender",
+       inbox({{0, reps[0]}, {1, reps[1]}, {2, reps[2]}, {6, reps[3]},
+              {4, reps[4]}, {5, reps[5]}}),
+       1},
+  };
+  for (const Variant& v : variants) {
+    ASSERT_FALSE(tally_is_shared(v.batch, 2)) << v.name;
+    const Observed o = expect_matches_reference(v.batch, v.name);
+    EXPECT_EQ(o.results[0].grade, v.grade) << v.name;
+  }
+  ASSERT_TRUE(tally_is_shared(base, 2));
+  expect_same(expect_matches_reference(base, "base again"), want,
+              "base again");
+}
+
 // 64 receivers tally one round of shared payloads on four real threads,
 // the way the engine's delivery lanes do: each receiver holds its own
 // handles to the same reps, so the first reader of each rep indexes it
 // while the others race to read the memo (or decode locally while it is
-// still being filled). Each must match its own serial run on unshared
-// copies. Run under TSan by CI's race-audit job.
+// still being filled), and the first receiver to claim a step's tally memo
+// publishes it while the others race to read it. Receivers deny different
+// leaders, and every other one sees one echo and one support message
+// substituted, so it counts another sequence behind the same first payload
+// and must tally locally. Each must match its own serial run on unshared
+// copies; afterwards each step's tally memo is ready, and one more
+// receiver reads it. Run under TSan by CI's race-audit job.
 TEST(GradecastTally, SharedInboxAcrossLanes) {
   constexpr std::size_t n = 64;
   perf::WorkerPool pool(4, 4);
   for (std::uint64_t seed = 1; seed <= 3; ++seed) {
     const Batch b = craft_batch(n, 500 + seed);
+    Batch variant = b;
+    for (const std::size_t step : {1u, 2u}) {
+      const std::uint8_t tag = step == 1 ? kTagEcho : kTagSupport;
+      const std::vector<const Envelope*> counted =
+          counted_messages(tag, variant.inbox[step], n);
+      ASSERT_GE(counted.size(), 2u);
+      Envelope& last = variant.inbox[step][static_cast<std::size_t>(
+          counted.back() - variant.inbox[step].data())];
+      last.payload = perf::Payload(Bytes(last.payload));
+    }
+    Rng rng(seed);
+    std::vector<Batch> inboxes;  // every receiver shares the reps
+    for (PartyId r = 0; r < n; ++r) {
+      inboxes.push_back(r % 2 == 0 ? b : variant);
+      for (std::size_t l = 0; l < n; ++l) {
+        inboxes[r].deny[l] = rng.chance(0.1);
+      }
+    }
     std::vector<Observed> serial(n);
-    for (PartyId r = 0; r < n; ++r) serial[r] = drive_as(deep_copy(b), r);
-    const std::vector<Batch> inboxes(n, b);  // every receiver shares the reps
+    for (PartyId r = 0; r < n; ++r) {
+      serial[r] = drive_as(deep_copy(inboxes[r]), r);
+    }
     std::vector<Observed> lanes(n);
     pool.run(n, [&](std::size_t, std::size_t begin, std::size_t end) {
       for (std::size_t r = begin; r < end; ++r) {
@@ -436,6 +697,14 @@ TEST(GradecastTally, SharedInboxAcrossLanes) {
                   "seed=" + std::to_string(seed) + " receiver " +
                       std::to_string(r));
     }
+    for (const std::size_t step : {1u, 2u}) {
+      EXPECT_NE(tally_is_shared(b, step), tally_is_shared(variant, step))
+          << "seed=" << seed << " step " << step
+          << ": exactly one of the two sequences is published";
+    }
+    const Batch& published = tally_is_shared(b, 2) ? b : variant;
+    expect_same(drive_as(published, 0), drive_as(deep_copy(published), 0),
+                "seed=" + std::to_string(seed) + " late receiver");
     if (HasFailure()) return;
   }
 }

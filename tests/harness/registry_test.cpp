@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <stdexcept>
 #include <string>
 #include <tuple>
 #include <utility>
@@ -21,6 +22,7 @@
 #include "graphs/generators.h"
 #include "harness/runner.h"
 #include "obs/report.h"
+#include "perf/tree_index.h"
 #include "support/golden.h"
 #include "trees/generators.h"
 
@@ -217,6 +219,49 @@ TEST(RegistryTest, RoundBudgetIsWhatARunTakesAndEveryRunPassesItsCheck) {
                                     : spec.eps);
     }
   }
+}
+
+/// A caller's tree index (RunSpec::tree_index), shared by the run and its
+/// verdict, changes no output, round count, report byte or verdict of any
+/// vertex protocol; an index of another tree is refused.
+TEST(RegistryTest, SharedTreeIndexChangesNoOutcomeReportOrVerdict) {
+  const auto spider = make_spider(3, 3);
+  const auto path = make_path(9);
+  const graphs::BlockIndex block_index(graphs::make_clique_chain(10, 4));
+  for (const harness::ProtocolKind p : harness::all_protocols()) {
+    if (!harness::is_vertex_protocol(p)) continue;
+    SCOPED_TRACE(harness::protocol_name(p));
+    harness::RunOutcome outs[2];
+    harness::Verdict verdicts[2];
+    std::string reports[2];
+    for (const int shared : {0, 1}) {
+      harness::RunSpec spec = small_spec(p, spider, path, block_index,
+                                         core::RealEngineKind::kGradecastBdh);
+      const perf::TreeIndex index(*spec.tree);
+      if (shared == 1) spec.tree_index = &index;
+      obs::RunReport report;
+      obs::Hooks hooks;
+      hooks.report = &report;
+      spec.hooks = &hooks;
+      outs[shared] = harness::run_protocol(spec);
+      verdicts[shared] = harness::check_outcome(spec, outs[shared]);
+      reports[shared] = report.to_json(false);
+    }
+    EXPECT_EQ(outs[1].vertex_outputs, outs[0].vertex_outputs);
+    EXPECT_EQ(outs[1].paths, outs[0].paths);
+    EXPECT_EQ(outs[1].rounds, outs[0].rounds);
+    EXPECT_EQ(reports[1], reports[0]);
+    EXPECT_EQ(verdicts[1].valid, verdicts[0].valid);
+    EXPECT_EQ(verdicts[1].agreement, verdicts[0].agreement);
+    EXPECT_EQ(verdicts[1].spread, verdicts[0].spread);
+    EXPECT_TRUE(verdicts[1].ok());
+  }
+  harness::RunSpec spec =
+      small_spec(harness::ProtocolKind::kTreeAA, spider, path, block_index,
+                 core::RealEngineKind::kGradecastBdh);
+  const perf::TreeIndex other(path);
+  spec.tree_index = &other;
+  EXPECT_THROW((void)harness::run_protocol(spec), std::invalid_argument);
 }
 
 /// A split target exists exactly where the split attack applies, and it is

@@ -9,6 +9,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <set>
 #include <span>
 #include <utility>
 #include <vector>
@@ -131,6 +132,8 @@ TEST(BroadcastInterning, CorruptionDetachesInsteadOfAliasing) {
 
 // --- Parse memo ----------------------------------------------------------------
 
+constexpr MemoSlot kSlot = MemoSlot::kSlotIndex;
+
 /// A stand-in parser: index entry i is byte i plus one, and the bytes are
 /// accepted iff the first one is odd. Counts its calls.
 struct CountingParse {
@@ -147,37 +150,37 @@ TEST(Payload, MemoParsesOnceAcrossHandles) {
   std::atomic<int> calls{0};
   const Payload first(Bytes{3, 5, 7});
   const std::vector<Payload> handles(5, first);
-  const PayloadMemo* memo = first.memo(42, CountingParse{&calls});
+  const PayloadMemo* memo = first.memo(kSlot, 42, CountingParse{&calls});
   ASSERT_NE(memo, nullptr);
   EXPECT_TRUE(memo->ok);
   EXPECT_EQ(memo->key, 42u);
   EXPECT_EQ(memo->index, (std::vector<std::uint32_t>{4, 6, 8}));
   for (const Payload& h : handles) {
-    EXPECT_EQ(h.memo(42, CountingParse{&calls}), memo);
+    EXPECT_EQ(h.memo(kSlot, 42, CountingParse{&calls}), memo);
   }
   EXPECT_EQ(calls.load(), 1) << "every later reader must take the memo";
 
   // A rejected parse is memoized too: its readers skip the bytes at once.
   const Payload bad(Bytes{2});
   const Payload bad_copy = bad;
-  const PayloadMemo* rejected = bad.memo(42, CountingParse{&calls});
+  const PayloadMemo* rejected = bad.memo(kSlot, 42, CountingParse{&calls});
   ASSERT_NE(rejected, nullptr);
   EXPECT_FALSE(rejected->ok);
-  EXPECT_EQ(bad_copy.memo(42, CountingParse{&calls}), rejected);
+  EXPECT_EQ(bad_copy.memo(kSlot, 42, CountingParse{&calls}), rejected);
   EXPECT_EQ(calls.load(), 2);
 }
 
 TEST(Payload, MemoNeverFilledByAnUnsharedHandle) {
   std::atomic<int> calls{0};
   const Payload alone(Bytes{1, 2});
-  EXPECT_EQ(alone.memo(1, CountingParse{&calls}), nullptr);
-  EXPECT_EQ(alone.memo(1, CountingParse{&calls}), nullptr);
+  EXPECT_EQ(alone.memo(kSlot, 1, CountingParse{&calls}), nullptr);
+  EXPECT_EQ(alone.memo(kSlot, 1, CountingParse{&calls}), nullptr);
   EXPECT_EQ(calls.load(), 0) << "an unshared reader parses locally";
-  EXPECT_EQ(Payload().memo(1, CountingParse{&calls}), nullptr);
+  EXPECT_EQ(Payload().memo(kSlot, 1, CountingParse{&calls}), nullptr);
 
   // Once shared, the first reader fills it.
   const Payload copy = alone;  // NOLINT(performance-unnecessary-copy-initialization)
-  ASSERT_NE(copy.memo(1, CountingParse{&calls}), nullptr);
+  ASSERT_NE(copy.memo(kSlot, 1, CountingParse{&calls}), nullptr);
   EXPECT_EQ(calls.load(), 1);
 }
 
@@ -185,13 +188,13 @@ TEST(Payload, MemoDroppedWhenUnsharedBytesMayChange) {
   std::atomic<int> calls{0};
   Payload a(Bytes{1, 1});
   Payload b = a;
-  ASSERT_NE(a.memo(7, CountingParse{&calls}), nullptr);
+  ASSERT_NE(a.memo(kSlot, 7, CountingParse{&calls}), nullptr);
 
   // A detached copy carries no memo: once shared again, it parses afresh.
   b.mutable_bytes()[0] = 5;
-  EXPECT_EQ(b.memo(7, CountingParse{&calls}), nullptr);
+  EXPECT_EQ(b.memo(kSlot, 7, CountingParse{&calls}), nullptr);
   const Payload b2 = b;  // NOLINT(performance-unnecessary-copy-initialization)
-  const PayloadMemo* detached = b2.memo(7, CountingParse{&calls});
+  const PayloadMemo* detached = b2.memo(kSlot, 7, CountingParse{&calls});
   ASSERT_NE(detached, nullptr);
   EXPECT_EQ(detached->index, (std::vector<std::uint32_t>{6, 2}));
   EXPECT_EQ(calls.load(), 2);
@@ -199,11 +202,11 @@ TEST(Payload, MemoDroppedWhenUnsharedBytesMayChange) {
   // `a` is unshared now; its memo still describes its bytes until a write
   // access, which drops it.
   ASSERT_FALSE(a.shared());
-  ASSERT_NE(a.memo(7, CountingParse{&calls}), nullptr);
+  ASSERT_NE(a.memo(kSlot, 7, CountingParse{&calls}), nullptr);
   a.mutable_bytes()[1] = 9;
-  EXPECT_EQ(a.memo(7, CountingParse{&calls}), nullptr);
+  EXPECT_EQ(a.memo(kSlot, 7, CountingParse{&calls}), nullptr);
   const Payload a2 = a;  // NOLINT(performance-unnecessary-copy-initialization)
-  const PayloadMemo* fresh = a2.memo(7, CountingParse{&calls});
+  const PayloadMemo* fresh = a2.memo(kSlot, 7, CountingParse{&calls});
   ASSERT_NE(fresh, nullptr);
   EXPECT_EQ(fresh->index, (std::vector<std::uint32_t>{2, 10}));
   EXPECT_EQ(calls.load(), 3);
@@ -214,7 +217,7 @@ TEST(Payload, MemoStartsEmptyOnARecycledPoolRep) {
   PayloadPool pool;
   Payload a = pool.copy_of(Bytes{1});
   Payload b = a;
-  ASSERT_NE(a.memo(3, CountingParse{&calls}), nullptr);
+  ASSERT_NE(a.memo(kSlot, 3, CountingParse{&calls}), nullptr);
   a.release(&pool);
   b.release(&pool);
   ASSERT_EQ(pool.pooled(), 1u);
@@ -222,7 +225,7 @@ TEST(Payload, MemoStartsEmptyOnARecycledPoolRep) {
   Payload c = pool.copy_of(Bytes{3, 4});
   ASSERT_EQ(pool.pooled(), 0u) << "the memoized rep was reused";
   const Payload d = c;  // NOLINT(performance-unnecessary-copy-initialization)
-  const PayloadMemo* memo = d.memo(3, CountingParse{&calls});
+  const PayloadMemo* memo = d.memo(kSlot, 3, CountingParse{&calls});
   ASSERT_NE(memo, nullptr);
   EXPECT_EQ(memo->index, (std::vector<std::uint32_t>{4, 5}));
   EXPECT_EQ(calls.load(), 2);
@@ -233,10 +236,66 @@ TEST(Payload, MemoUnderAnotherKeyParsesLocally) {
   std::atomic<int> calls{0};
   const Payload a(Bytes{1});
   const Payload b = a;  // NOLINT(performance-unnecessary-copy-initialization)
-  ASSERT_NE(a.memo(2, CountingParse{&calls}), nullptr);
-  EXPECT_EQ(b.memo(3, CountingParse{&calls}), nullptr);
+  ASSERT_NE(a.memo(kSlot, 2, CountingParse{&calls}), nullptr);
+  EXPECT_EQ(b.memo(kSlot, 3, CountingParse{&calls}), nullptr);
   EXPECT_EQ(calls.load(), 1) << "a foreign key must not refill the memo";
-  EXPECT_NE(b.memo(2, CountingParse{&calls}), nullptr);
+  EXPECT_NE(b.memo(kSlot, 2, CountingParse{&calls}), nullptr);
+}
+
+TEST(Payload, MemoSlotsFillIndependently) {
+  std::atomic<int> calls{0};
+  const Payload a(Bytes{1, 2});
+  const Payload b = a;  // NOLINT(performance-unnecessary-copy-initialization)
+  const PayloadMemo* index = a.memo(kSlot, 5, CountingParse{&calls});
+  ASSERT_NE(index, nullptr);
+  const PayloadMemo* tally =
+      b.memo(MemoSlot::kInboxTally, 5, CountingParse{&calls});
+  ASSERT_NE(tally, nullptr);
+  EXPECT_NE(tally, index) << "each slot keeps its own parse";
+  EXPECT_EQ(calls.load(), 2);
+  EXPECT_EQ(b.memo(kSlot, 5, CountingParse{&calls}), index);
+  EXPECT_EQ(a.memo(MemoSlot::kInboxTally, 5, CountingParse{&calls}), tally);
+  EXPECT_EQ(calls.load(), 2);
+}
+
+// A tally memo names other reps by stamp, so a stamp must change wherever
+// the bytes behind a handle may: a fresh rep, a detached copy, a pool's
+// recycled rep and an unshared write access all get a new stamp, and only
+// a shared copy keeps it.
+TEST(Payload, StampRenewsWhereverTheMemoResets) {
+  std::set<std::uint64_t> seen;
+  const auto fresh = [&](std::uint64_t stamp) {
+    return stamp != 0 && seen.insert(stamp).second;
+  };
+  EXPECT_EQ(Payload().stamp(), 0u);
+
+  Payload a(Bytes{1});
+  EXPECT_TRUE(fresh(a.stamp())) << "a new rep";
+  EXPECT_TRUE(fresh(Payload(Bytes{1}).stamp())) << "same bytes, new rep";
+  Payload empty;
+  (void)empty.mutable_bytes();
+  EXPECT_TRUE(fresh(empty.stamp())) << "a rep made by a write access";
+
+  Payload b = a;
+  EXPECT_EQ(b.stamp(), a.stamp()) << "a shared copy keeps its stamp";
+  b.mutable_bytes()[0] = 2;
+  EXPECT_TRUE(fresh(b.stamp())) << "a detached copy";
+  EXPECT_FALSE(fresh(a.stamp())) << "the rep it left keeps its stamp";
+
+  const std::uint64_t before = b.stamp();
+  ASSERT_FALSE(b.shared());
+  (void)b.mutable_bytes();
+  EXPECT_NE(b.stamp(), before);
+  EXPECT_TRUE(fresh(b.stamp())) << "an unshared write access";
+
+  PayloadPool pool;
+  Payload p = pool.copy_of(Bytes{5});
+  EXPECT_TRUE(fresh(p.stamp()));
+  const Bytes* const rep = &p.bytes();
+  p.release(&pool);
+  const Payload q = pool.adopt(Bytes{5});
+  ASSERT_EQ(&q.bytes(), rep) << "the pool must reuse the rep";
+  EXPECT_TRUE(fresh(q.stamp())) << "a recycled rep, same bytes and all";
 }
 
 // Readers on four real threads race for one shared rep: exactly one fills
@@ -259,7 +318,7 @@ TEST(Payload, MemoRaceAcrossWorkersYieldsOneIndex) {
     pool.run(kReaders, [&](std::size_t, std::size_t begin, std::size_t end) {
       for (std::size_t i = begin; i < end; ++i) {
         const PayloadMemo* memo =
-            handles[i].memo(9, CountingParse{&memo_calls});
+            handles[i].memo(kSlot, 9, CountingParse{&memo_calls});
         if (memo != nullptr) {
           seen[i] = memo->index;
         } else {
@@ -271,7 +330,7 @@ TEST(Payload, MemoRaceAcrossWorkersYieldsOneIndex) {
     for (std::size_t i = 1; i < kReaders; ++i) {
       ASSERT_EQ(seen[i], seen[0]) << "trial " << trial << " reader " << i;
     }
-    EXPECT_NE(shared.memo(9, CountingParse{&memo_calls}), nullptr);
+    EXPECT_NE(shared.memo(kSlot, 9, CountingParse{&memo_calls}), nullptr);
   }
 }
 

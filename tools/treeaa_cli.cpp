@@ -65,6 +65,7 @@
 #include "obs/report.h"
 #include "obs/sink.h"
 #include "obs/span.h"
+#include "perf/tree_index.h"
 #include "realaa/rounds.h"
 #include "sim/strategies.h"
 #include "sim/trace.h"
@@ -306,6 +307,8 @@ int cmd_run(const std::vector<std::string>& args,
   // byte-identical to the serial engine for any value.
   spec.threads = flags.threads;
   spec.tree = tree.has_value() ? &*tree : nullptr;
+  std::optional<perf::TreeIndex> tree_index;
+  if (tree.has_value()) spec.tree_index = &tree_index.emplace(*tree);
   spec.block_index = index.has_value() ? &*index : nullptr;
   for (const auto& label : input_labels) {
     const auto v = find(label);
